@@ -10,6 +10,7 @@ chains.  All counts are exact arbitrary-precision integers.
 """
 
 from .counting import (
+    IntegralityError,
     NecklaceSpec,
     alternation_distribution,
     bracelet_count_direct,
@@ -21,7 +22,6 @@ from .counting import (
 from .cycle_index import (
     BipartiteCycleIndex,
     CycleTerm,
-    IntegralityError,
     count_orbits,
     cyclic_bipartite_index,
     dihedral_bipartite_index,

@@ -16,12 +16,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
-from .counting import NecklaceSpec, alternation_distribution, count_necklaces
-from .cycle_index import IntegralityError
+from .counting import (
+    IntegralityError,
+    NecklaceSpec,
+    alternation_distribution,
+    count_necklaces,
+)
 from .montecarlo import (
     PRNG_NAME,
     MCConfig,
@@ -147,7 +152,12 @@ def cmd_mc(args) -> int:
 
 
 def _read_pdf_file(path: str) -> DiscretePdf:
-    """Load a pdf from CSV having alpha and probability columns."""
+    """Load a pdf from CSV having alpha and probability columns.
+
+    Alternation counts must be even, >= 0 and listed once, probabilities
+    finite and >= 0; anything else is rejected rather than silently
+    dropped or overwritten.
+    """
     with open(path, encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
     reader = csv.DictReader(lines)
@@ -155,7 +165,18 @@ def _read_pdf_file(path: str) -> DiscretePdf:
     for record in reader:
         if record.get("alpha") is None or record.get("probability") is None:
             raise ValueError(f"{path}: need alpha and probability columns")
-        entries[int(record["alpha"])] = float(record["probability"])
+        alpha = int(record["alpha"])
+        probability = float(record["probability"])
+        if alpha < 0 or alpha % 2 != 0:
+            raise ValueError(f"{path}: alpha must be even and >= 0, got {alpha}")
+        if alpha in entries:
+            raise ValueError(f"{path}: alpha={alpha} appears more than once")
+        if not math.isfinite(probability) or probability < 0:
+            raise ValueError(
+                f"{path}: probability at alpha={alpha} must be finite and "
+                f">= 0, got {record['probability']}"
+            )
+        entries[alpha] = probability
     if not entries:
         raise ValueError(f"{path}: no pdf rows found")
     return DiscretePdf(entries, "file")
@@ -170,7 +191,10 @@ def cmd_fit(args) -> int:
             raise ValueError("fit needs either --pdf-file or both --at and --gc")
         pdf = theoretical_pdf(_spec(args))
         parameters = {"at": args.at, "gc": args.gc}
-    fit = fit_gaussian(pdf)
+    try:
+        fit = fit_gaussian(pdf)
+    except RuntimeError as exc:  # curve_fit gave up before converging
+        raise ValueError(f"Gaussian fit did not converge: {exc}") from exc
     rows = [
         {
             "alpha0": fit.alpha0,

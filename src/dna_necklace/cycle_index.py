@@ -10,7 +10,10 @@ black-container cycles, with exact rational coefficients.
 
 Indices are materialized as explicit term lists so the counting
 substitution (replace x_d by f(x^d), y_d by f(y^d) and read off one
-coefficient) stays a generic, separately testable step.
+coefficient) stays a generic, separately testable step.  Production
+counts do not take this route: `counting.necklace_count` evaluates the
+same Burnside sum in closed form with integers only.  This module is the
+independent reference the tests check that kernel against.
 
 ``str(index)`` renders a human-readable polynomial for debugging, e.g.
 ``1/10·x1^5·y1^5 + 2/5·x5·y5 + 1/2·x1·y1·x2^2·y2^2``.  The format is for
@@ -22,19 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .counting import IntegralityError
 from .numtheory import divisors, totient
 from .series import product_weight_coeff
 
 # A monomial in one variable family: sorted ((subscript d, exponent), ...).
 Monomial = tuple[tuple[int, int], ...]
-
-
-class IntegralityError(ArithmeticError):
-    """The rational orbit total failed to reduce to an integer.
-
-    Burnside averages over a genuine group action are always integers, so
-    this firing means the cycle index itself is malformed.
-    """
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import math
 
-# Above this a factorization pass beats summing gcds.
-_TOTIENT_SCAN_LIMIT = 10_000
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention C(n, k) = 0 for k < 0, k > n, or n < 0.
@@ -26,11 +23,13 @@ def binomial(n: int, k: int) -> int:
 
 
 def totient(n: int) -> int:
-    """Euler's totient: the number of integers in [1, n] coprime to n."""
+    """Euler's totient: the number of integers in [1, n] coprime to n.
+
+    Computed as n * prod(1 - 1/p) over the prime factors p of n, found by
+    trial division in O(sqrt(n)) steps.
+    """
     if n <= 0:
         raise ValueError(f"totient requires n >= 1, got {n}")
-    if n <= _TOTIENT_SCAN_LIMIT:
-        return sum(1 for d in range(1, n + 1) if math.gcd(d, n) == 1)
     result = n
     m = n
     p = 2

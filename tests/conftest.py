@@ -1,0 +1,26 @@
+"""Shared test configuration.
+
+Property tests run under a derandomized hypothesis profile with no
+example database, so every run draws the same examples.  ``deadline=None``
+keeps a slow machine from turning a timing hiccup into a failure.
+Hypothesis still caches the constants it scrapes from local source files;
+that cache goes under pytest's own cache directory instead of a
+``.hypothesis/`` directory in the working tree.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    cache = getattr(config, "cache", None)  # absent under -p no:cacheprovider
+    if cache is not None:
+        os.environ.setdefault(
+            "HYPOTHESIS_STORAGE_DIRECTORY", str(cache.mkdir("hypothesis"))
+        )

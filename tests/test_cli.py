@@ -165,6 +165,45 @@ class TestFit:
         assert abs(float(file_row["alpha0"]) - float(direct_row["alpha0"])) < 1e-9
 
 
+    def test_non_converging_fit_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "spiky.csv"
+        path.write_text("alpha,probability\n2,1\n4,0\n6,1\n8,0\n10,1e-300\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "did not converge" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.25"])
+    def test_bad_probability_rejected(self, capsys, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        rows = ["alpha,probability", "2,0.2", f"4,{value}", "6,0.5", "8,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite and >= 0" in err
+
+    @pytest.mark.parametrize("alpha", ["3", "-2"])
+    def test_bad_alpha_rejected(self, capsys, tmp_path, alpha):
+        path = tmp_path / "bad.csv"
+        rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "even and >= 0" in err
+
+    def test_repeated_alpha_rejected(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        rows = ["alpha,probability", "2,0.2", "4,0.5", "4,0.01", "6,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "more than once" in err
+
+
 class TestSweep:
     def test_fixed_at_rows(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dna_necklace import cli, counting
 from dna_necklace.counting import (
+    IntegralityError,
     NecklaceSpec,
     alternation_distribution,
     bracelet_count_direct,
@@ -9,7 +13,17 @@ from dna_necklace.counting import (
     total_count,
     zero_alternation_count,
 )
+from dna_necklace.cycle_index import count_orbits, dihedral_bipartite_index
 from dna_necklace.oracle import enumerate_all
+
+
+@st.composite
+def container_queries(draw, max_total=200):
+    """(M, n_at, n_gc) with both colors present, N <= max_total, M in support."""
+    n_at = draw(st.integers(1, max_total - 1))
+    n_gc = draw(st.integers(1, max_total - n_at))
+    m = draw(st.integers(1, min(n_at, n_gc)))
+    return m, n_at, n_gc
 
 
 class TestNecklaceSpec:
@@ -58,6 +72,51 @@ class TestNecklaceCount:
                         assert count > 0, (a, b, m)
                     else:
                         assert count == 0, (a, b, m)
+
+
+class TestClosedFormKernel:
+    """The integer Burnside kernel against the cycle-index reference route."""
+
+    @given(container_queries())
+    def test_matches_cycle_index_route(self, query):
+        m, n_at, n_gc = query
+        assert necklace_count(m, NecklaceSpec(n_at, n_gc)) == count_orbits(
+            dihedral_bipartite_index(m), n_at, n_gc
+        )
+
+    def test_matches_cycle_index_route_for_every_small_query(self):
+        for n in range(2, 41):
+            for n_at in range(1, n):
+                spec = NecklaceSpec(n_at, n - n_at)
+                for m in range(1, min(spec.n_at, spec.n_gc) + 1):
+                    assert necklace_count(m, spec) == count_orbits(
+                        dihedral_bipartite_index(m), spec.n_at, spec.n_gc
+                    ), (m, spec)
+
+    def test_long_chain_totals_match_bead_burnside(self):
+        for spec in [
+            NecklaceSpec(500, 500),
+            NecklaceSpec(700, 1400),
+            NecklaceSpec(1201, 1200),
+            NecklaceSpec(429, 2571),
+        ]:
+            assert total_count(spec) == bracelet_count_direct(spec), spec
+
+    def test_non_divisible_total_raises(self, monkeypatch):
+        # One extra identity rotation adds C(7, 4) * C(5, 4) = 175 fixed
+        # points, which 2M = 10 does not divide.
+        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 1 else 1)
+        with pytest.raises(IntegralityError, match="not divisible"):
+            necklace_count(5, NecklaceSpec(8, 6))
+
+    def test_non_divisible_total_maps_to_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 1 else 1)
+        code = cli.main(["count", "--alpha", "10", "--at", "8", "--gc", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "integrality failure" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCountNecklaces:

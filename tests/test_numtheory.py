@@ -62,6 +62,10 @@ class TestTotient:
         for n in range(1, 501):
             assert sum(totient(d) for d in divisors(n)) == n
 
+    def test_matches_gcd_count_definition(self):
+        for n in range(1, 2001):
+            assert totient(n) == totient_by_scan(n), n
+
     def test_factorization_path_matches_scan(self):
         # Values above the gcd-scan cutoff take the factorization branch.
         for n in (10_001, 10_007, 12_288, 30_030, 65_537):
