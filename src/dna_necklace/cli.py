@@ -19,8 +19,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .counting import (
     IntegralityError,
     NecklaceSpec,
@@ -30,6 +28,7 @@ from .counting import (
 from .montecarlo import (
     PRNG_NAME,
     MCConfig,
+    _rng,
     alternation_histogram,
     derive_subseed,
     total_abs_diff,
@@ -120,9 +119,7 @@ def cmd_mc(args) -> int:
     rows = []
     for set_index in range(config.sets):
         subseed = derive_subseed(config.seed, set_index)
-        histogram = alternation_histogram(
-            config.spec, config.runs, np.random.default_rng(subseed)
-        )
+        histogram = alternation_histogram(config.spec, config.runs, _rng(subseed))
         empirical = DiscretePdf(
             {a: c / config.runs for a, c in histogram.items()}, "empirical"
         )

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .counting import NecklaceSpec
 from .stats import DiscretePdf, theoretical_pdf
 
@@ -49,12 +47,17 @@ class MCConfig:
 
 def derive_subseed(seed: int, *path: int) -> int:
     """Deterministic 128-bit subseed for the stream at `path` under `seed`."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     low, high = (int(w) for w in ss.generate_state(2, np.uint64))
     return low | (high << 64)
 
 
 def _rng(subseed: int) -> np.random.Generator:
+    """The generator of the stream with this subseed (used by `cli` too)."""
+    import numpy as np
+
     return np.random.default_rng(subseed)
 
 
@@ -62,6 +65,8 @@ def sample_chains(
     spec: NecklaceSpec, runs: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(runs, N) uint8 matrix of chains, one uniform arrangement per row."""
+    import numpy as np
+
     base = np.concatenate(
         [np.ones(spec.n_at, np.uint8), np.zeros(spec.n_gc, np.uint8)]
     )
@@ -77,6 +82,8 @@ def sample_chain(spec: NecklaceSpec, rng: np.random.Generator) -> str:
 
 def count_alternations_rows(chains: np.ndarray) -> np.ndarray:
     """Circular alternation count of every row of a chain matrix."""
+    import numpy as np
+
     return (chains != np.roll(chains, -1, axis=1)).sum(axis=1)
 
 
@@ -84,6 +91,8 @@ def alternation_histogram(
     spec: NecklaceSpec, runs: int, rng: np.random.Generator
 ) -> dict[int, int]:
     """Raw observation counts of alternation values over `runs` chains."""
+    import numpy as np
+
     alternations = count_alternations_rows(sample_chains(spec, runs, rng))
     values, counts = np.unique(alternations, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
@@ -131,6 +140,8 @@ def convergence_study(
     the row carries the mean and population standard deviation of the
     per-set distances (a single set reports a standard deviation of 0).
     """
+    import numpy as np
+
     if not run_counts:
         raise ValueError("run_counts must be non-empty")
     if sets < 1:

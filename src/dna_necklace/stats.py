@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import curve_fit
 
 from .counting import NecklaceSpec, alternation_distribution
 
@@ -65,6 +63,8 @@ def theoretical_pdf(spec: NecklaceSpec) -> DiscretePdf:
 
 
 def _gaussian(x: np.ndarray, amplitude: float, alpha0: float, sigma: float):
+    import numpy as np
+
     return amplitude * np.exp(-((x - alpha0) ** 2) / (2.0 * sigma**2))
 
 
@@ -75,7 +75,15 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     deviation, amplitude from the peak entry) and refined by damped
     least squares (Levenberg-Marquardt).  The amplitude is free, not
     constrained to normalize: the curve traces the pdf points.
+
+    A fit whose width falls below a floor or exceeds the span of the
+    fitted support (a flat pdf has no peak to fit) is rejected with
+    ValueError.  The covariance is not used: an exact three-point fit
+    never has a finite one, so scipy's warning about it is silenced.
     """
+    import numpy as np
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     points = sorted((a, p) for a, p in pdf.entries.items() if p > 0)
     if len(points) < 3:
         raise ValueError(
@@ -87,13 +95,21 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     sigma0 = float(np.sqrt((y * (x - mean0) ** 2).sum() / y.sum()))
     sigma0 = max(sigma0, _SIGMA_FLOOR)
     start = (float(y.max()), mean0, sigma0)
-    params, _ = curve_fit(
-        _gaussian, x, y, p0=start, maxfev=20000, xtol=1e-12, ftol=1e-12
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        params, _ = curve_fit(
+            _gaussian, x, y, p0=start, maxfev=20000, xtol=1e-12, ftol=1e-12
+        )
     amplitude, alpha0, sigma = (float(v) for v in params)
     sigma = abs(sigma)  # the model is even in sigma
     if sigma < _SIGMA_FLOOR:
         raise ValueError(f"fitted width degenerated below {_SIGMA_FLOOR}")
+    span = float(x[-1] - x[0])
+    if sigma > span:
+        raise ValueError(
+            f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
+            "the pdf has no peak to fit"
+        )
     rmse = float(np.sqrt(np.mean((_gaussian(x, amplitude, alpha0, sigma) - y) ** 2)))
     return GaussianFit(alpha0=alpha0, sigma=sigma, amplitude=amplitude, rmse=rmse)
 
@@ -169,6 +185,8 @@ def sweep_fixed_ratio(
     The slope is an ordinary least-squares fit of alpha0 against N over
     the successful rows (None if fewer than two succeed).
     """
+    import numpy as np
+
     if not n_values:
         raise ValueError("n_values must be non-empty")
     rows = []

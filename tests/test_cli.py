@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dna_necklace import cli
 from dna_necklace.cycle_index import IntegralityError
@@ -174,6 +178,23 @@ class TestFit:
         assert err.startswith("error: ")
         assert "did not converge" in err
 
+    def test_flat_pdf_is_a_usage_error(self):
+        # (3, 3) has three equally likely alternation values: the fitted
+        # width runs off to ~4.5e4 over a support of span 4.  A real process,
+        # so that any warning scipy prints would show on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "dna_necklace", "--quiet", "fit", "--at", "3", "--gc", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "exceeds the support span" in lines[0]
+        assert "Warning" not in proc.stderr
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.25"])
     def test_bad_probability_rejected(self, capsys, tmp_path, value):
         path = tmp_path / "bad.csv"
@@ -216,6 +237,20 @@ class TestSweep:
         assert all(r["error"] == "" for r in rows)
         centers = [float(r["alpha0"]) for r in rows]
         assert centers == sorted(centers)
+
+    def test_flat_pdf_row_is_an_error_row(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--quiet", "sweep", "--mode", "fixed-at",
+            "--at", "3", "--gc-values", "3,5",
+        )
+        assert code == 0
+        assert err == ""
+        flat, peaked = parse_csv(out)
+        assert flat["n_gc"] == "3"
+        assert flat["alpha0"] == flat["sigma"] == flat["max_pg"] == ""
+        assert "exceeds the support span" in flat["error"]
+        assert peaked["error"] == ""
+        assert float(peaked["sigma"]) < 6
 
     def test_fixed_ratio_slope_column(self, capsys):
         code, out, _ = run_cli(
@@ -284,3 +319,115 @@ class TestProcessBoundaryRoundTrip:
                 for row in parse_csv(out):
                     expected = buckets.get((n_at, int(row["alpha"])), 0)
                     assert int(row["count"]) == expected, (n, n_at, row)
+
+
+# Prints which of numpy and scipy are loaded after importing the package
+# and, given arguments, running `cli.main` on them.
+IMPORT_PROBE = """
+import sys
+import dna_necklace
+if sys.argv[1:]:
+    from dna_necklace import cli
+    assert cli.main(["--quiet", *sys.argv[1:]]) == 0
+print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
+"""
+
+
+class TestImportBoundary:
+    """Counting needs neither numpy nor scipy; only the fits load scipy."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], ""),
+            (["count", "--alpha", "10", "--at", "8", "--gc", "6"], ""),
+            (["pdf", "--at", "3", "--gc", "4"], ""),
+            (["oracle", "--n", "4"], ""),
+            (["mc", "--at", "3", "--gc", "4", "--runs", "10", "--sets", "1"], "numpy"),
+            (["fit", "--at", "5", "--gc", "5"], "numpy,scipy"),
+            (["sweep", "--mode", "fixed-at", "--at", "5", "--gc-values", "5"], "numpy,scipy"),
+            (["sweep", "--mode", "fixed-ratio", "--ratio", "1:1", "--n-values", "8,10"], "numpy,scipy"),
+        ],
+    )
+    def test_libraries_loaded(self, argv, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stderr.splitlines()[-1] == loaded
+
+
+def _command(name, required=(), optional=()):
+    """argv for one subcommand: every required flag, each optional one maybe."""
+    parts = [value.map(lambda v, f=flag: [f, v]) for flag, value in required]
+    parts += [
+        st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v]))
+        for flag, value in optional
+    ]
+    return st.tuples(*parts).map(
+        lambda drawn: [name] + [token for part in drawn for token in part]
+    )
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+_COUNT = _ints(-3, 30)
+_INT_LIST = st.one_of(
+    st.lists(st.integers(-3, 30), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["x", "1,,2", " , ", "2.5"]),
+)
+_RATIO = st.one_of(
+    st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.sampled_from(["2", "a:b", "1:2:3", ""]),
+)
+_TABLE = [("--format", st.sampled_from(["csv", "json"]))]
+_ARGV = st.tuples(
+    st.sampled_from([[], ["--quiet"]]),
+    st.one_of(
+        _command("count", [("--alpha", _ints(-4, 40)), ("--at", _COUNT), ("--gc", _COUNT)]),
+        _command("pdf", [("--at", _COUNT), ("--gc", _COUNT)], _TABLE),
+        _command(
+            "mc",
+            [("--at", _COUNT), ("--gc", _COUNT), ("--runs", _ints(-1, 200))],
+            [("--seed", st.integers(-1, 2**64).map(str)), ("--sets", _ints(-1, 4))]
+            + _TABLE,
+        ),
+        _command("fit", [("--at", _COUNT), ("--gc", _COUNT)], _TABLE),
+        _command(
+            "sweep",
+            [
+                ("--mode", st.just("fixed-at")),
+                ("--at", _COUNT),
+                ("--gc-values", _INT_LIST),
+            ],
+            _TABLE,
+        ),
+        _command(
+            "sweep",
+            [
+                ("--mode", st.just("fixed-ratio")),
+                ("--ratio", _RATIO),
+                ("--n-values", _INT_LIST),
+            ],
+            _TABLE,
+        ),
+        _command("oracle", [("--n", _ints(-1, 20))], _TABLE),
+    ),
+).map(lambda t: t[0] + t[1])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200)
+    @given(argv=_ARGV)
+    def test_every_argv_exits_zero_two_or_three(self, argv):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejecting the vector
+                code = exc.code
+        assert code in (0, 2, 3), (argv, sink.getvalue()[-500:])

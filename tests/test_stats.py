@@ -90,6 +90,22 @@ class TestFitGaussian:
         with pytest.raises(ValueError, match="support too small"):
             fit_gaussian(DiscretePdf({2: 0.5, 4: 0.5}, "empirical"))
 
+    def test_rejects_flat_pdf_without_warning(self):
+        # (3, 3): alternations 2, 4 and 6 are equally likely, so the fitted
+        # width runs off far beyond the support span of 4.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="exceeds the support span 4"):
+                fit_gaussian(theoretical_pdf(NecklaceSpec(3, 3)))
+        assert caught == []
+
+    def test_exact_three_point_fit_is_silent(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_gaussian(DiscretePdf({2: 0.25, 4: 0.5, 6: 0.25}, "theoretical"))
+        assert caught == []
+        assert fit.sigma < 4
+
 
 class TestSweepFixedAt:
     def test_widens_then_narrows(self):
