@@ -190,7 +190,7 @@ def cmd_fit(args) -> int:
         parameters = {"at": args.at, "gc": args.gc}
     try:
         fit = fit_gaussian(pdf)
-    except RuntimeError as exc:  # curve_fit gave up before converging
+    except RuntimeError as exc:  # the least-squares search gave up
         raise ValueError(f"Gaussian fit did not converge: {exc}") from exc
     rows = [
         {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -62,27 +61,22 @@ def theoretical_pdf(spec: NecklaceSpec) -> DiscretePdf:
     )
 
 
-def _gaussian(x: np.ndarray, amplitude: float, alpha0: float, sigma: float):
-    import numpy as np
-
-    return amplitude * np.exp(-((x - alpha0) ** 2) / (2.0 * sigma**2))
-
-
 def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     """Least-squares Gaussian through the pdf's nonzero support points.
 
     Initialized from the sample moments (weighted mean and standard
     deviation, amplitude from the peak entry) and refined by damped
-    least squares (Levenberg-Marquardt).  The amplitude is free, not
-    constrained to normalize: the curve traces the pdf points.
+    least squares (Levenberg-Marquardt, MINPACK's lmdif).  The amplitude
+    is free, not constrained to normalize: the curve traces the pdf
+    points.
 
     A fit whose width falls below a floor or exceeds the span of the
     fitted support (a flat pdf has no peak to fit) is rejected with
-    ValueError.  The covariance is not used: an exact three-point fit
-    never has a finite one, so scipy's warning about it is silenced.
+    ValueError; RuntimeError means the least-squares search gave up.
     """
     import numpy as np
-    from scipy.optimize import OptimizeWarning, curve_fit
+
+    from ._lmdif import FAILURES, lmdif
 
     points = sorted((a, p) for a, p in pdf.entries.items() if p > 0)
     if len(points) < 3:
@@ -91,16 +85,18 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
         )
     x = np.array([a for a, _ in points], dtype=float)
     y = np.array([p for _, p in points], dtype=float)
+
+    def gaussian(amplitude, alpha0, sigma):
+        return amplitude * np.exp(-((x - alpha0) ** 2) / (2.0 * sigma**2))
+
     mean0 = float((x * y).sum() / y.sum())
     sigma0 = float(np.sqrt((y * (x - mean0) ** 2).sum() / y.sum()))
     sigma0 = max(sigma0, _SIGMA_FLOOR)
     start = (float(y.max()), mean0, sigma0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        params, _ = curve_fit(
-            _gaussian, x, y, p0=start, maxfev=20000, xtol=1e-12, ftol=1e-12
-        )
-    amplitude, alpha0, sigma = (float(v) for v in params)
+    params, info = lmdif(lambda p: (gaussian(*p) - y).tolist(), start)
+    if info in FAILURES:
+        raise RuntimeError("Optimal parameters not found: " + FAILURES[info])
+    amplitude, alpha0, sigma = params
     sigma = abs(sigma)  # the model is even in sigma
     if sigma < _SIGMA_FLOOR:
         raise ValueError(f"fitted width degenerated below {_SIGMA_FLOOR}")
@@ -110,7 +106,7 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
             f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
             "the pdf has no peak to fit"
         )
-    rmse = float(np.sqrt(np.mean((_gaussian(x, amplitude, alpha0, sigma) - y) ** 2)))
+    rmse = float(np.sqrt(np.mean((gaussian(amplitude, alpha0, sigma) - y) ** 2)))
     return GaussianFit(alpha0=alpha0, sigma=sigma, amplitude=amplitude, rmse=rmse)
 
 

@@ -4,11 +4,14 @@ Property tests run under a derandomized hypothesis profile with no
 example database, so every run draws the same examples.  ``deadline=None``
 keeps a slow machine from turning a timing hiccup into a failure.
 Hypothesis still caches the constants it scrapes from local source files;
-that cache goes under pytest's own cache directory instead of a
-``.hypothesis/`` directory in the working tree.
+that cache goes under pytest's own cache directory, or into a temporary
+directory removed after the run when the cache plugin is off
+(``-p no:cacheprovider``), never into a ``.hypothesis/`` directory in the
+working tree.
 """
 
 import os
+import tempfile
 
 from hypothesis import settings
 
@@ -21,6 +24,9 @@ settings.load_profile("deterministic")
 def pytest_configure(config):
     cache = getattr(config, "cache", None)  # absent under -p no:cacheprovider
     if cache is not None:
-        os.environ.setdefault(
-            "HYPOTHESIS_STORAGE_DIRECTORY", str(cache.mkdir("hypothesis"))
-        )
+        directory = str(cache.mkdir("hypothesis"))
+    else:
+        scratch = tempfile.TemporaryDirectory(prefix="hypothesis-")
+        config.add_cleanup(scratch.cleanup)
+        directory = scratch.name
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", directory)

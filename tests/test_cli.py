@@ -181,7 +181,7 @@ class TestFit:
     def test_flat_pdf_is_a_usage_error(self):
         # (3, 3) has three equally likely alternation values: the fitted
         # width runs off to ~4.5e4 over a support of span 4.  A real process,
-        # so that any warning scipy prints would show on stderr.
+        # so that any warning printed along the way would show on stderr.
         proc = subprocess.run(
             [sys.executable, "-m", "dna_necklace", "--quiet", "fit", "--at", "3", "--gc", "3"],
             capture_output=True,
@@ -334,7 +334,8 @@ print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stde
 
 
 class TestImportBoundary:
-    """Counting needs neither numpy nor scipy; only the fits load scipy."""
+    """Counting needs neither library, Monte Carlo and the fits need numpy,
+    and nothing needs scipy."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -344,9 +345,9 @@ class TestImportBoundary:
             (["pdf", "--at", "3", "--gc", "4"], ""),
             (["oracle", "--n", "4"], ""),
             (["mc", "--at", "3", "--gc", "4", "--runs", "10", "--sets", "1"], "numpy"),
-            (["fit", "--at", "5", "--gc", "5"], "numpy,scipy"),
-            (["sweep", "--mode", "fixed-at", "--at", "5", "--gc-values", "5"], "numpy,scipy"),
-            (["sweep", "--mode", "fixed-ratio", "--ratio", "1:1", "--n-values", "8,10"], "numpy,scipy"),
+            (["fit", "--at", "5", "--gc", "5"], "numpy"),
+            (["sweep", "--mode", "fixed-at", "--at", "5", "--gc-values", "5"], "numpy"),
+            (["sweep", "--mode", "fixed-ratio", "--ratio", "1:1", "--n-values", "8,10"], "numpy"),
         ],
     )
     def test_libraries_loaded(self, argv, loaded):

@@ -72,11 +72,8 @@ class TestFitGaussian:
             assert abs(fit.sigma - sigma) < 1e-6 * sigma
 
     def test_symmetric_pdf_centers_exactly(self):
-        with warnings.catch_warnings():
-            # Three points, three parameters: the fit is exact and scipy
-            # warns that the (singular) covariance is unavailable.
-            warnings.simplefilter("ignore")
-            fit = fit_gaussian(DiscretePdf({2: 0.25, 4: 0.5, 6: 0.25}, "theoretical"))
+        # Three points, three parameters: the fit is exact.
+        fit = fit_gaussian(DiscretePdf({2: 0.25, 4: 0.5, 6: 0.25}, "theoretical"))
         assert abs(fit.alpha0 - 4.0) < 1e-8
 
     def test_balanced_hundred_bead_chain(self):
