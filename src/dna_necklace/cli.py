@@ -155,7 +155,8 @@ def _read_pdf_file(path: str) -> DiscretePdf:
     finite and >= 0; anything else is rejected rather than silently
     dropped or overwritten.
     """
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first.
+    with open(path, encoding="utf-8-sig") as handle:
         lines = [line for line in handle if not line.startswith("#")]
     reader = csv.DictReader(lines)
     entries: dict[int, float] = {}

@@ -16,8 +16,8 @@ independent reference the tests compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import comb, gcd
 
 from .numtheory import binomial, divisors, totient
 
@@ -30,7 +30,7 @@ class IntegralityError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecklaceSpec:
     """Bead content of a necklace: n_at white (AT) and n_gc black (GC)."""
 
@@ -54,16 +54,6 @@ class NecklaceSpec:
         return 2 * min(self.n_at, self.n_gc)
 
 
-def _through(r: int, k: int) -> int:
-    """[x^r] f(x)^2 f(x^2)^k: two fixed containers, k pairs swapped."""
-    return binomial(r // 2, k + 1) + binomial((r - 1) // 2, k + 1)
-
-
-def _across(r: int, k: int) -> int:
-    """[x^r] f(x^2)^(k+1): every container paired with its mirror image."""
-    return binomial(r // 2 - 1, k) if r % 2 == 0 else 0
-
-
 def necklace_count(m: int, spec: NecklaceSpec) -> int:
     """Distinct necklaces with exactly 2M alternations and the given content.
 
@@ -75,39 +65,47 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     index with f(x) = x + x^2 + ... substituted):
 
     * the rotations with d-cycles number phi(d), and fix an assignment
-      only when d divides M, n_at and n_gc: C(n_at/d-1, M/d-1) choices
-      of white totals times the same for black;
+      only when d divides g = gcd(M, n_at, n_gc): C(n_at/d-1, M/d-1)
+      choices of white totals times the same for black.  The identity
+      (d = 1) always contributes; when g = 1, the usual case, it is the
+      only rotation that does, and no divisor or totient is computed;
     * for odd M each axis fixes one container of each color and pairs
       the rest, [x^r] f(x) f(x^2)^k = C((r-1)//2, k) with k = (M-1)/2;
-    * for even M half the axes fix two containers of one color, pairing
-      the rest, [x^r] f(x)^2 f(x^2)^k = C(r//2, k+1) + C((r-1)//2, k+1)
-      with k = (M-2)/2, while the other color is paired throughout,
-      [x^r] f(x^2)^(M/2) = C(r/2-1, M/2-1) for even r and 0 otherwise.
+    * for even M, with k = M/2, k of the M axes pass through two white
+      containers and k through two black ones.  The color with the fixed
+      containers gives [x^r] f(x)^2 f(x^2)^(k-1) = C(r//2, k) +
+      C((r-1)//2, k); the other color, paired throughout, gives
+      [x^r] f(x^2)^k = C(r/2-1, k-1) for even r and 0 otherwise.
 
-    The fixed-point total must divide by the group order 2M; a remainder
-    raises IntegralityError.
+    Once 1 <= M <= min(n_at, n_gc) no binomial argument is negative, and
+    math.comb already gives 0 for k > n.  The fixed-point total must
+    divide by the group order 2M; a remainder raises IntegralityError.
     """
     if m <= 0:
         raise ValueError(f"container count must be >= 1, got M={m}")
     n_at, n_gc = spec.n_at, spec.n_gc
     if m > min(n_at, n_gc):
         return 0
-    fixed = 0
-    for d in divisors(math.gcd(m, n_at, n_gc)):
-        fixed += (
-            totient(d)
-            * binomial(n_at // d - 1, m // d - 1)
-            * binomial(n_gc // d - 1, m // d - 1)
-        )
+    fixed = comb(n_at - 1, m - 1) * comb(n_gc - 1, m - 1)
+    g = gcd(m, n_at, n_gc)
+    if g > 1:
+        for d in divisors(g)[1:]:
+            fixed += (
+                totient(d)
+                * comb(n_at // d - 1, m // d - 1)
+                * comb(n_gc // d - 1, m // d - 1)
+            )
     if m % 2 == 1:
         k = (m - 1) // 2
-        fixed += m * binomial((n_at - 1) // 2, k) * binomial((n_gc - 1) // 2, k)
+        fixed += m * comb((n_at - 1) // 2, k) * comb((n_gc - 1) // 2, k)
     else:
-        k = (m - 2) // 2
-        fixed += (m // 2) * (
-            _through(n_at, k) * _across(n_gc, k)
-            + _across(n_at, k) * _through(n_gc, k)
-        )
+        k = m // 2
+        if n_gc % 2 == 0:
+            through = comb(n_at // 2, k) + comb((n_at - 1) // 2, k)
+            fixed += k * through * comb(n_gc // 2 - 1, k - 1)
+        if n_at % 2 == 0:
+            through = comb(n_gc // 2, k) + comb((n_gc - 1) // 2, k)
+            fixed += k * through * comb(n_at // 2 - 1, k - 1)
     orbits, remainder = divmod(fixed, 2 * m)
     if remainder:
         raise IntegralityError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -71,8 +72,10 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     points.
 
     A fit whose width falls below a floor or exceeds the span of the
-    fitted support (a flat pdf has no peak to fit) is rejected with
-    ValueError; RuntimeError means the least-squares search gave up.
+    fitted support (a flat pdf has no peak to fit), or whose start moments
+    or fitted fields are not finite (values too large for float64
+    arithmetic), is rejected with ValueError; RuntimeError means the
+    least-squares search gave up.
     """
     import numpy as np
 
@@ -89,25 +92,42 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     def gaussian(amplitude, alpha0, sigma):
         return amplitude * np.exp(-((x - alpha0) ** 2) / (2.0 * sigma**2))
 
-    mean0 = float((x * y).sum() / y.sum())
-    sigma0 = float(np.sqrt((y * (x - mean0) ** 2).sum() / y.sum()))
-    sigma0 = max(sigma0, _SIGMA_FLOOR)
-    start = (float(y.max()), mean0, sigma0)
-    params, info = lmdif(lambda p: (gaussian(*p) - y).tolist(), start)
-    if info in FAILURES:
-        raise RuntimeError("Optimal parameters not found: " + FAILURES[info])
-    amplitude, alpha0, sigma = params
-    sigma = abs(sigma)  # the model is even in sigma
-    if sigma < _SIGMA_FLOOR:
-        raise ValueError(f"fitted width degenerated below {_SIGMA_FLOOR}")
-    span = float(x[-1] - x[0])
-    if sigma > span:
-        raise ValueError(
-            f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
-            "the pdf has no peak to fit"
+    # Overflow shows up as inf or nan in the values checked below, so
+    # numpy's warnings about it are redundant.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean0 = float((x * y).sum() / y.sum())
+        sigma0 = float(np.sqrt((y * (x - mean0) ** 2).sum() / y.sum()))
+        _require_finite("start moments", mean=mean0, sigma=sigma0)
+        sigma0 = max(sigma0, _SIGMA_FLOOR)
+        start = (float(y.max()), mean0, sigma0)
+        params, info = lmdif(lambda p: (gaussian(*p) - y).tolist(), start)
+        if info in FAILURES:
+            raise RuntimeError("Optimal parameters not found: " + FAILURES[info])
+        amplitude, alpha0, sigma = params
+        sigma = abs(sigma)  # the model is even in sigma
+        _require_finite(
+            "fitted parameters", alpha0=alpha0, sigma=sigma, amplitude=amplitude
         )
-    rmse = float(np.sqrt(np.mean((gaussian(amplitude, alpha0, sigma) - y) ** 2)))
+        if sigma < _SIGMA_FLOOR:
+            raise ValueError(f"fitted width degenerated below {_SIGMA_FLOOR}")
+        span = float(x[-1] - x[0])
+        if sigma > span:
+            raise ValueError(
+                f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
+                "the pdf has no peak to fit"
+            )
+        rmse = float(np.sqrt(np.mean((gaussian(amplitude, alpha0, sigma) - y) ** 2)))
+        _require_finite("fit residual", rmse=rmse)
     return GaussianFit(alpha0=alpha0, sigma=sigma, amplitude=amplitude, rmse=rmse)
+
+
+def _require_finite(what: str, **values: float) -> None:
+    if not all(math.isfinite(value) for value in values.values()):
+        shown = ", ".join(f"{name} = {value!r}" for name, value in values.items())
+        raise ValueError(
+            f"{what} not finite ({shown}): the pdf values are too large for "
+            "floating-point arithmetic"
+        )
 
 
 @dataclass(frozen=True)

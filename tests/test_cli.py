@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dna_necklace import cli
-from dna_necklace.cycle_index import IntegralityError
+from dna_necklace.counting import IntegralityError
 
 
 def run_cli(capsys, *args):
@@ -194,6 +194,42 @@ class TestFit:
         assert lines[0].startswith("error: ")
         assert "exceeds the support span" in lines[0]
         assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            (("1e308", "1e308", "1e308"), "start moments not finite"),
+            (("1e200", "3e200", "1e200"), "fit residual not finite"),
+        ],
+    )
+    def test_overflowing_fit_is_a_usage_error(self, tmp_path, values, reason):
+        # Finite probabilities whose moments or residuals overflow float64.
+        # A real process, so that numpy's overflow warnings would show.
+        path = tmp_path / "huge.csv"
+        rows = [f"{alpha},{p}" for alpha, p in zip((0, 2, 4), values)]
+        path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dna_necklace", "--quiet", "fit", "--pdf-file", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert reason in lines[0]
+        assert "Warning" not in proc.stderr
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        text = "# exported\nalpha,probability\n0,0.2\n2,0.6\n4,0.2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        _, expected, _ = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(plain))
+        code, out, err = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(marked))
+        assert code == 0, err
+        assert out == expected
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.25"])
     def test_bad_probability_rejected(self, capsys, tmp_path, value):
@@ -421,14 +457,22 @@ _ARGV = st.tuples(
 ).map(lambda t: t[0] + t[1])
 
 
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process `cli.main` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejecting the vector
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestExitCodeContract:
     @settings(max_examples=200)
     @given(argv=_ARGV)
     def test_every_argv_exits_zero_two_or_three(self, argv):
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejecting the vector
-                code = exc.code
-        assert code in (0, 2, 3), (argv, sink.getvalue()[-500:])
+        code, out, err = _run_captured(argv)
+        assert code in (0, 2, 3), (argv, (out + err)[-500:])
+        # Identical invocations give byte-identical output.
+        assert _run_captured(argv)[:2] == (code, out), argv

@@ -102,16 +102,43 @@ class TestClosedFormKernel:
         ]:
             assert total_count(spec) == bracelet_count_direct(spec), spec
 
+    @staticmethod
+    def _rig_comb(monkeypatch, n, k):
+        """Make the kernel read C(n, k) one higher than it is."""
+        real = counting.comb
+        monkeypatch.setattr(
+            counting, "comb", lambda a, b: real(a, b) + ((a, b) == (n, k))
+        )
+
     def test_non_divisible_total_raises(self, monkeypatch):
-        # One extra identity rotation adds C(7, 4) * C(5, 4) = 175 fixed
-        # points, which 2M = 10 does not divide.
-        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 1 else 1)
+        # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
+        # identity rotation's C(7, 4) * C(5, 4), which 2M = 10 does not
+        # divide; gcd(5, 8, 6) = 1, so no other rotation contributes.
+        self._rig_comb(monkeypatch, 7, 4)
         with pytest.raises(IntegralityError, match="not divisible"):
             necklace_count(5, NecklaceSpec(8, 6))
 
     def test_non_divisible_total_maps_to_exit_three(self, monkeypatch, capsys):
-        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 1 else 1)
+        self._rig_comb(monkeypatch, 7, 4)
         code = cli.main(["count", "--alpha", "10", "--at", "8", "--gc", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "integrality failure" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_divisible_rotation_sum_raises(self, monkeypatch):
+        # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
+        # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
+        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 2 else 1)
+        with pytest.raises(IntegralityError, match="not divisible"):
+            necklace_count(2, NecklaceSpec(4, 6))
+
+    def test_non_divisible_rotation_sum_maps_to_exit_three(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 2 else 1)
+        code = cli.main(["count", "--alpha", "4", "--at", "4", "--gc", "6"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
