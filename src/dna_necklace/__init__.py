@@ -19,13 +19,6 @@ from .counting import (
     total_count,
     zero_alternation_count,
 )
-from .cycle_index import (
-    BipartiteCycleIndex,
-    CycleTerm,
-    count_orbits,
-    cyclic_bipartite_index,
-    dihedral_bipartite_index,
-)
 from .montecarlo import (
     MCConfig,
     PRNG_NAME,
@@ -44,12 +37,6 @@ from .oracle import (
     count_alternations,
     enumerate_all,
 )
-from .series import (
-    SeriesFactor,
-    binary_weight_coeff,
-    product_weight_coeff,
-    weight_coeff,
-)
 from .stats import (
     DiscretePdf,
     GaussianFit,
@@ -63,8 +50,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteCycleIndex",
-    "CycleTerm",
     "DiscretePdf",
     "GaussianFit",
     "IntegralityError",
@@ -74,26 +59,20 @@ __all__ = [
     "PRNG_NAME",
     "alternation_distribution",
     "alternation_histogram",
-    "binary_weight_coeff",
     "binomial",
     "bracelet_count_direct",
     "canonical_form",
     "convergence_study",
     "count_alternations",
     "count_necklaces",
-    "count_orbits",
-    "cyclic_bipartite_index",
     "derive_subseed",
-    "dihedral_bipartite_index",
     "divisors",
     "empirical_pdf",
     "enumerate_all",
     "fit_gaussian",
     "necklace_count",
-    "product_weight_coeff",
     "sample_chain",
     "sample_chains",
-    "SeriesFactor",
     "split_by_ratio",
     "sweep_fixed_at",
     "sweep_fixed_ratio",
@@ -101,6 +80,5 @@ __all__ = [
     "total_abs_diff",
     "total_count",
     "totient",
-    "weight_coeff",
     "zero_alternation_count",
 ]

@@ -27,7 +27,7 @@ Matrices are lists of columns, so `a[j][i]` is the Fortran `a(i,j)`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 FTOL = 1e-12
 XTOL = 1e-12

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 
@@ -57,6 +56,8 @@ def _fmt(value) -> str:
 
 def _render(args, parameters: dict, columns: list[str], rows: list[dict]) -> str:
     if args.format == "json":
+        import json
+
         envelope: dict = {"command": args.command}
         if not args.quiet:
             envelope["parameters"] = parameters
@@ -151,33 +152,74 @@ def cmd_mc(args) -> int:
 def _read_pdf_file(path: str) -> DiscretePdf:
     """Load a pdf from CSV having alpha and probability columns.
 
-    Alternation counts must be even, >= 0 and listed once, probabilities
-    finite and >= 0; anything else is rejected rather than silently
-    dropped or overwritten.
+    Alternation counts must be even, >= 0, within float range and listed
+    once, probabilities finite and >= 0; anything else is rejected rather
+    than silently dropped or overwritten.  A rejection names the file and
+    the line, and the column when one cell is at fault.
     """
     # utf-8-sig drops the byte-order mark spreadsheet exports put first.
     with open(path, encoding="utf-8-sig") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(lines)
+        numbered = [
+            (number, line)
+            for number, line in enumerate(handle, 1)
+            if not line.startswith("#")
+        ]
+    reader = csv.DictReader(line for _, line in numbered)
+
+    def line() -> int:
+        # The inner reader's count is current even when a row fails to parse.
+        return numbered[reader.reader.line_num - 1][0]
+
     entries: dict[int, float] = {}
-    for record in reader:
-        if record.get("alpha") is None or record.get("probability") is None:
-            raise ValueError(f"{path}: need alpha and probability columns")
-        alpha = int(record["alpha"])
-        probability = float(record["probability"])
-        if alpha < 0 or alpha % 2 != 0:
-            raise ValueError(f"{path}: alpha must be even and >= 0, got {alpha}")
-        if alpha in entries:
-            raise ValueError(f"{path}: alpha={alpha} appears more than once")
-        if not math.isfinite(probability) or probability < 0:
-            raise ValueError(
-                f"{path}: probability at alpha={alpha} must be finite and "
-                f">= 0, got {record['probability']}"
-            )
-        entries[alpha] = probability
+    try:
+        for column in ("alpha", "probability"):
+            if reader.fieldnames is not None and column not in reader.fieldnames:
+                raise ValueError(
+                    f"{path}, line {line()}: the header has no {column} column"
+                )
+        for record in reader:
+            where = f"{path}, line {line()}"
+            alpha = _cell(record, "alpha", int, "an integer", where)
+            probability = _cell(record, "probability", float, "a number", where)
+            if alpha < 0 or alpha % 2 != 0:
+                raise ValueError(
+                    f"{where}, column alpha: must be even and >= 0, got {alpha}"
+                )
+            if alpha > sys.float_info.max:
+                raise ValueError(
+                    f"{where}, column alpha: too large for floating-point "
+                    "arithmetic"
+                )
+            if alpha in entries:
+                raise ValueError(
+                    f"{where}, column alpha: {alpha} appears more than once"
+                )
+            if not math.isfinite(probability) or probability < 0:
+                raise ValueError(
+                    f"{where}, column probability: must be finite and >= 0, "
+                    f"got {record['probability']}"
+                )
+            entries[alpha] = probability
+    except csv.Error as exc:  # e.g. a cell over the csv module's size limit
+        raise ValueError(f"{path}, line {line()}: {exc}") from exc
     if not entries:
         raise ValueError(f"{path}: no pdf rows found")
     return DiscretePdf(entries, "file")
+
+
+def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | float:
+    """One parsed cell of a --pdf-file row, or a ValueError naming it."""
+    text = record[column]
+    if text is None:
+        raise ValueError(f"{where}, column {column}: missing cell")
+    if not text.strip():
+        raise ValueError(f"{where}, column {column}: empty cell")
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(
+            f"{where}, column {column}: expected {kind}, got {text!r}"
+        ) from None
 
 
 def cmd_fit(args) -> int:

@@ -10,13 +10,13 @@ to well within sampling noise, but they are not identical measures.
 Production counts come from a closed-form integer Burnside sum over the
 dihedral group acting on the 2M containers (`necklace_count`).  The
 general route that substitutes the weight series into the bipartite cycle
-index (`cycle_index`, `series`) gives the same numbers and is kept as the
-independent reference the tests compare against.
+index gives the same numbers; it lives with the tests
+(``tests/reference``), which compare the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd
 
 from .numtheory import binomial, divisors, totient
@@ -30,20 +30,28 @@ class IntegralityError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class NecklaceSpec:
+# The package's records are namedtuple subclasses, not dataclasses:
+# `dataclasses` loads `inspect`, `ast` and `dis` and execs generated
+# methods, which made every command start noticeably slower.  The class
+# annotations document the field types; the namedtuple defines the fields.
+class NecklaceSpec(namedtuple("NecklaceSpec", "n_at n_gc")):
     """Bead content of a necklace: n_at white (AT) and n_gc black (GC)."""
 
+    __slots__ = ()
     n_at: int
     n_gc: int
 
-    def __post_init__(self) -> None:
-        if self.n_at < 0 or self.n_gc < 0:
-            raise ValueError(
-                f"bead counts must be >= 0, got ({self.n_at}, {self.n_gc})"
-            )
-        if self.n_at + self.n_gc == 0:
+    def __new__(cls, n_at: int, n_gc: int) -> NecklaceSpec:
+        if n_at < 0 or n_gc < 0:
+            raise ValueError(f"bead counts must be >= 0, got ({n_at}, {n_gc})")
+        if n_at + n_gc == 0:
             raise ValueError("the empty necklace (0, 0) is not defined")
+        return tuple.__new__(cls, (n_at, n_gc))
+
+    @classmethod
+    def _make(cls, iterable) -> NecklaceSpec:
+        # namedtuple's _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
     @property
     def total(self) -> int:

@@ -19,7 +19,7 @@ re-derivable from its emitted subseed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .counting import NecklaceSpec
 from .stats import DiscretePdf, theoretical_pdf
@@ -27,22 +27,30 @@ from .stats import DiscretePdf, theoretical_pdf
 PRNG_NAME = "PCG64"
 
 
-@dataclass(frozen=True)
-class MCConfig:
+class MCConfig(namedtuple("MCConfig", "spec runs seed sets")):
     """One simulation request: spec, run count, master seed, set count."""
 
+    __slots__ = ()
     spec: NecklaceSpec
     runs: int
     seed: int
-    sets: int = 5
+    sets: int
 
-    def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.sets < 1:
-            raise ValueError(f"sets must be >= 1, got {self.sets}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned value, got {self.seed}")
+    def __new__(
+        cls, spec: NecklaceSpec, runs: int, seed: int, sets: int = 5
+    ) -> MCConfig:
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        if sets < 1:
+            raise ValueError(f"sets must be >= 1, got {sets}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned value, got {seed}")
+        return tuple.__new__(cls, (spec, runs, seed, sets))
+
+    @classmethod
+    def _make(cls, iterable) -> MCConfig:
+        # namedtuple's _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
 
 def derive_subseed(seed: int, *path: int) -> int:
@@ -119,12 +127,14 @@ def total_abs_diff(p: DiscretePdf, q: DiscretePdf) -> float:
     return sum(abs(p.prob(alpha) - q.prob(alpha)) for alpha in keys)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(
+    namedtuple("ConvergenceRow", "runs mean_d std_d d_values", defaults=((),))
+):
+    __slots__ = ()
     runs: int
     mean_d: float
     std_d: float
-    d_values: tuple[float, ...] = field(default=())
+    d_values: tuple[float, ...]
 
 
 def convergence_study(

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .counting import NecklaceSpec, alternation_distribution
 
 _SIGMA_FLOOR = 1e-6
 
 
-@dataclass
-class DiscretePdf:
+class DiscretePdf(
+    namedtuple("DiscretePdf", "entries provenance", defaults=("theoretical",))
+):
     """Probability distribution over even alternation counts.
 
     `provenance` is "theoretical" (exact counts normalized) or "empirical"
@@ -21,8 +22,9 @@ class DiscretePdf:
     empirical ones carry only observed values.
     """
 
+    __slots__ = ()
     entries: dict[int, float]
-    provenance: str = "theoretical"
+    provenance: str
 
     def prob(self, alpha: int) -> float:
         return self.entries.get(alpha, 0.0)
@@ -34,14 +36,14 @@ class DiscretePdf:
         return sum(self.entries.values())
 
 
-@dataclass(frozen=True)
-class GaussianFit:
+class GaussianFit(namedtuple("GaussianFit", "alpha0 sigma amplitude rmse")):
     """A*exp(-(alpha - alpha0)^2 / (2 sigma^2)) fitted to a pdf.
 
     `amplitude` is the curve's peak value (its value at alpha0); `rmse` is
     the root-mean-square residual over the fitted support points.
     """
 
+    __slots__ = ()
     alpha0: float
     sigma: float
     amplitude: float
@@ -130,13 +132,15 @@ def _require_finite(what: str, **values: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FixedAtRow:
+class FixedAtRow(
+    namedtuple("FixedAtRow", "n_gc fit error", defaults=(None, None))
+):
     """One sweep row; `fit` is None when the row failed, with the reason."""
 
+    __slots__ = ()
     n_gc: int
-    fit: GaussianFit | None = None
-    error: str | None = None
+    fit: GaussianFit | None
+    error: str | None
 
 
 def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
@@ -159,22 +163,26 @@ def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(
+    namedtuple("RatioRow", "n n_at n_gc fit error", defaults=(None, None))
+):
+    __slots__ = ()
     n: int
     n_at: int
     n_gc: int
-    fit: GaussianFit | None = None
-    error: str | None = None
+    fit: GaussianFit | None
+    error: str | None
 
 
-@dataclass(frozen=True)
-class RatioSweepResult:
+class RatioSweepResult(
+    namedtuple("RatioSweepResult", "rows slope intercept", defaults=(None, None))
+):
     """Per-N fits at a fixed gc:at ratio plus the slope of alpha0 against N."""
 
-    rows: list[RatioRow] = field(default_factory=list)
-    slope: float | None = None
-    intercept: float | None = None
+    __slots__ = ()
+    rows: list[RatioRow]
+    slope: float | None
+    intercept: float | None
 
 
 def split_by_ratio(ratio_gc_to_at: tuple[int, int], n: int) -> tuple[int, int]:

@@ -8,6 +8,10 @@ that cache goes under pytest's own cache directory, or into a temporary
 directory removed after the run when the cache plugin is off
 (``-p no:cacheprovider``), never into a ``.hypothesis/`` directory in the
 working tree.
+
+The tests that start ``python -m dna_necklace`` in a child process pass it
+the ``pythonpath`` entries of ``pyproject.toml`` through ``PYTHONPATH``,
+so a checkout runs the suite without installing the package.
 """
 
 import os
@@ -30,3 +34,6 @@ def pytest_configure(config):
         config.add_cleanup(scratch.cleanup)
         directory = scratch.name
     os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", directory)
+    paths = [str(path) for path in config.getini("pythonpath")]
+    paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    os.environ["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import IntegralityError
-from .numtheory import divisors, totient
+from dna_necklace.counting import IntegralityError
+from dna_necklace.numtheory import divisors, totient
+
 from .series import product_weight_coeff
 
 # A monomial in one variable family: sorted ((subscript d, exponent), ...).

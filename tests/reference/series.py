@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .numtheory import binomial
+from dna_necklace.numtheory import binomial
 
 
 class SeriesFactor(NamedTuple):

@@ -21,17 +21,17 @@ from dna_necklace.counting import (
     count_necklaces,
     total_count,
 )
-from dna_necklace.cycle_index import dihedral_bipartite_index
 from dna_necklace.montecarlo import MCConfig, convergence_study, empirical_pdf, sample_chains
 from dna_necklace.numtheory import binomial
 from dna_necklace.oracle import canonical_form, count_alternations, enumerate_all
-from dna_necklace.series import weight_coeff
 from dna_necklace.stats import (
     fit_gaussian,
     sweep_fixed_at,
     sweep_fixed_ratio,
     theoretical_pdf,
 )
+from reference.cycle_index import dihedral_bipartite_index
+from reference.series import weight_coeff
 
 
 @contextmanager

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,45 @@ class TestFit:
         assert out == ""
         assert "more than once" in err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0.2", "2"], "line 4, column probability: missing cell"),
+            (["0,0.2", "2,"], "line 4, column probability: empty cell"),
+            ([" ,0.2"], "line 3, column alpha: empty cell"),
+            (["2.0,0.2"], "line 3, column alpha: expected an integer, got '2.0'"),
+            (["2,x"], "line 3, column probability: expected a number, got 'x'"),
+            (["0,0.2", "3,0.1"], "line 4, column alpha: must be even and >= 0, got 3"),
+            (["2,0.2", "2,0.1"], "line 4, column alpha: 2 appears more than once"),
+            (["2,nan"], "line 3, column probability: must be finite and >= 0, got nan"),
+            (
+                [f"{10**309},0.2"],
+                "line 3, column alpha: too large for floating-point arithmetic",
+            ),
+            # The csv module refuses cells over its field size limit.
+            (["0," + "1" * 200_000], "line 3: field larger than field limit"),
+        ],
+    )
+    def test_rejected_row_names_file_line_and_column(
+        self, capsys, tmp_path, rows, message
+    ):
+        # Line numbers count the comment line the reader skips.
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["# exported", "alpha,probability", *rows]) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}, {message}")
+        assert err.count("\n") == 1
+
+    def test_header_without_a_column_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("alpha,p\n0,0.2\n2,0.6\n4,0.2\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}, line 1: the header has no probability column\n"
+
 
 class TestSweep:
     def test_fixed_at_rows(self, capsys):
@@ -369,9 +409,26 @@ print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stde
 """
 
 
+# Prints the modules that `import dna_necklace` or, given arguments, a
+# `python -m dna_necklace --quiet ...` run adds to those loaded before it.
+MODULES_ADDED_PROBE = """
+import atexit, runpy, sys
+before = set(sys.modules)
+atexit.register(
+    lambda: print(",".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+)
+if sys.argv[1:]:
+    sys.argv[1:1] = ["--quiet"]
+    runpy.run_module("dna_necklace", run_name="__main__", alter_sys=True)
+else:
+    import dna_necklace
+"""
+
+
 class TestImportBoundary:
     """Counting needs neither library, Monte Carlo and the fits need numpy,
-    and nothing needs scipy."""
+    and nothing needs scipy.  No command that prints CSV loads the heavier
+    standard modules (json only writes JSON output)."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -394,6 +451,29 @@ class TestImportBoundary:
             check=True,
         )
         assert proc.stderr.splitlines()[-1] == loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["count", "--alpha", "10", "--at", "8", "--gc", "6"],
+            ["pdf", "--at", "3", "--gc", "4"],
+            ["oracle", "--n", "4"],
+        ],
+    )
+    def test_no_heavy_standard_modules(self, argv):
+        # Measured as a difference within one fresh process, so the test
+        # holds whatever the interpreter's start-up (`site`) loads itself.
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_ADDED_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        added = set(proc.stderr.splitlines()[-1].split(","))
+        assert "dna_necklace" in added
+        heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing", "json"}
+        assert added & heavy == set()
 
 
 def _command(name, required=(), optional=()):
@@ -476,3 +556,62 @@ class TestExitCodeContract:
         assert code in (0, 2, 3), (argv, (out + err)[-500:])
         # Identical invocations give byte-identical output.
         assert _run_captured(argv)[:2] == (code, out), argv
+
+
+# Cell values that a --pdf-file row must be rejected for, or that test a
+# limit: (alpha column, probability column).
+_PDF_FAULTS = (
+    ["", " ", "3", "-2", "2.0", "x", str(10**308), str(10**309)],
+    ["", "nan", "inf", "-inf", "-0.5", "1e308", "1e-320", "x"],
+)
+
+
+@st.composite
+def _pdf_files(draw):
+    """A valid pdf file with up to three faults planted in it.
+
+    Probabilities follow a Gaussian profile: random values make many fits
+    run to the least-squares search's evaluation limit, about 0.5 s each.
+    """
+    alphas = draw(st.lists(st.integers(0, 40), unique=True, max_size=8))
+    center, width = draw(st.floats(0, 80)), draw(st.floats(0.5, 20))
+    rows = [
+        [str(2 * k), repr(math.exp(-((2 * k - center) ** 2) / (2 * width**2)))]
+        for k in alphas
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["cell", "cell", "duplicate", "short", "long"]))
+        if fault == "cell":
+            column = draw(st.integers(0, min(len(row), 2) - 1))
+            row[column] = draw(st.sampled_from(_PDF_FAULTS[column]))
+        elif fault == "duplicate":
+            row[0] = rows[0][0]
+        elif fault == "short":
+            del row[1:]
+        else:
+            row.append("0.5")
+    header = draw(
+        st.sampled_from(["alpha,probability"] * 3 + ["probability,alpha", "alpha,p", ""])
+    )
+    bom = draw(st.sampled_from(["", "\ufeff"]))  # a leading byte-order mark
+    comment = draw(st.sampled_from(["", "# exported\n"]))
+    lines = [header, *(",".join(row) for row in rows)]
+    return bom + comment + "\n".join(lines) + "\n"
+
+
+class TestPdfFileFuzz:
+    @settings(max_examples=200)
+    @given(text=_pdf_files(), table=st.sampled_from(["csv", "json"]))
+    def test_every_file_exits_zero_or_two(self, tmp_path_factory, text, table):
+        path = tmp_path_factory.mktemp("fuzz") / "pdf.csv"
+        path.write_bytes(text.encode("utf-8"))
+        argv = ["--quiet", "fit", "--pdf-file", str(path), "--format", table]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second line
+            code, out, err = _run_captured(argv)
+            again = _run_captured(argv)
+        assert code in (0, 2), (text, err)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (code == 2) and err.count("\n") == len(errors), err
+        assert again == (code, out, err)

@@ -13,8 +13,8 @@ from dna_necklace.counting import (
     total_count,
     zero_alternation_count,
 )
-from dna_necklace.cycle_index import count_orbits, dihedral_bipartite_index
 from dna_necklace.oracle import enumerate_all
+from reference.cycle_index import count_orbits, dihedral_bipartite_index
 
 
 @st.composite

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dna_necklace.cycle_index import (
+from dna_necklace.counting import IntegralityError
+from reference.cycle_index import (
     BipartiteCycleIndex,
     CycleTerm,
-    IntegralityError,
     count_orbits,
     cyclic_bipartite_index,
     dihedral_bipartite_index,

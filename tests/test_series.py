@@ -1,7 +1,7 @@
 import pytest
 
 from dna_necklace.numtheory import binomial
-from dna_necklace.series import (
+from reference.series import (
     SeriesFactor,
     binary_weight_coeff,
     product_weight_coeff,
