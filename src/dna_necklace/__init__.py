@@ -26,7 +26,6 @@ from .montecarlo import (
     convergence_study,
     derive_subseed,
     empirical_pdf,
-    sample_chain,
     sample_chains,
     total_abs_diff,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "enumerate_all",
     "fit_gaussian",
     "necklace_count",
-    "sample_chain",
     "sample_chains",
     "split_by_ratio",
     "sweep_fixed_at",

@@ -24,14 +24,7 @@ from .counting import (
     alternation_distribution,
     count_necklaces,
 )
-from .montecarlo import (
-    PRNG_NAME,
-    MCConfig,
-    _rng,
-    alternation_histogram,
-    derive_subseed,
-    total_abs_diff,
-)
+from .montecarlo import PRNG_NAME, MCConfig, _run_set, total_abs_diff
 from .oracle import MAX_ENUMERATION_BITS, enumerate_all
 from .stats import (
     DiscretePdf,
@@ -54,7 +47,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render(args, parameters: dict, columns: list[str], rows: list[dict]) -> str:
+def _provenance(args, parameters: dict) -> str:
+    """The ``# key: value`` lines that open CSV output; none under --quiet."""
+    if args.quiet:
+        return ""
+    lines = [f"# command: {args.command}\n"]
+    lines += [f"# {key}: {value}\n" for key, value in parameters.items()]
+    return "".join(lines)
+
+
+def _render(args, parameters: dict, rows: list[dict]) -> str:
+    """A table as CSV or JSON; the columns are the first row's keys, in order.
+
+    Every command emits at least one row, and all its rows share one key
+    order, so the first row states the columns for both formats.
+    """
     if args.format == "json":
         import json
 
@@ -64,14 +71,11 @@ def _render(args, parameters: dict, columns: list[str], rows: list[dict]) -> str
         envelope["rows"] = rows
         return json.dumps(envelope, indent=2) + "\n"
     out = io.StringIO()
-    if not args.quiet:
-        out.write(f"# command: {args.command}\n")
-        for key, value in parameters.items():
-            out.write(f"# {key}: {value}\n")
+    out.write(_provenance(args, parameters))
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow([_fmt(value) for value in row.values()])
     return out.getvalue()
 
 
@@ -89,16 +93,8 @@ def _spec(args) -> NecklaceSpec:
 
 def cmd_count(args) -> int:
     count = count_necklaces(_spec(args), args.alpha)
-    lines = []
-    if not args.quiet:
-        lines += [
-            "# command: count",
-            f"# alpha: {args.alpha}",
-            f"# at: {args.at}",
-            f"# gc: {args.gc}",
-        ]
-    lines.append(str(count))
-    sys.stdout.write("\n".join(lines) + "\n")
+    parameters = {"alpha": args.alpha, "at": args.at, "gc": args.gc}
+    _write(args, f"{_provenance(args, parameters)}{count}\n")
     return 0
 
 
@@ -110,7 +106,7 @@ def cmd_pdf(args) -> int:
         for alpha in sorted(dist)
     ]
     parameters = {"at": args.at, "gc": args.gc}
-    _write(args, _render(args, parameters, ["alpha", "count", "probability"], rows))
+    _write(args, _render(args, parameters, rows))
     return 0
 
 
@@ -119,11 +115,7 @@ def cmd_mc(args) -> int:
     reference = theoretical_pdf(config.spec)
     rows = []
     for set_index in range(config.sets):
-        subseed = derive_subseed(config.seed, set_index)
-        histogram = alternation_histogram(config.spec, config.runs, _rng(subseed))
-        empirical = DiscretePdf(
-            {a: c / config.runs for a, c in histogram.items()}, "empirical"
-        )
+        subseed, histogram, empirical = _run_set(config, set_index)
         distance = total_abs_diff(empirical, reference)
         for alpha in sorted(histogram):
             rows.append(
@@ -133,7 +125,7 @@ def cmd_mc(args) -> int:
                     "d": distance,
                     "alpha": alpha,
                     "count": str(histogram[alpha]),
-                    "frequency": histogram[alpha] / config.runs,
+                    "frequency": empirical.entries[alpha],
                 }
             )
     parameters = {
@@ -144,8 +136,7 @@ def cmd_mc(args) -> int:
         "sets": args.sets,
         "prng": PRNG_NAME,
     }
-    columns = ["set", "sub_seed", "d", "alpha", "count", "frequency"]
-    _write(args, _render(args, parameters, columns, rows))
+    _write(args, _render(args, parameters, rows))
     return 0
 
 
@@ -243,10 +234,7 @@ def cmd_fit(args) -> int:
             "rmse": fit.rmse,
         }
     ]
-    _write(
-        args,
-        _render(args, parameters, ["alpha0", "sigma", "amplitude", "rmse"], rows),
-    )
+    _write(args, _render(args, parameters, rows))
     return 0
 
 
@@ -276,58 +264,33 @@ def cmd_sweep(args) -> int:
         if args.at is None or not args.gc_values:
             raise ValueError("fixed-at sweep needs --at and --gc-values")
         gc_values = _parse_int_list(args.gc_values, "--gc-values")
-        rows = []
-        for row in sweep_fixed_at(args.at, gc_values):
-            rows.append(
-                {
-                    "n_gc": row.n_gc,
-                    "alpha0": row.fit.alpha0 if row.fit else None,
-                    "sigma": row.fit.sigma if row.fit else None,
-                    "max_pg": row.fit.amplitude if row.fit else None,
-                    "error": row.error,
-                }
-            )
+        sweep_rows = sweep_fixed_at(args.at, gc_values)
+        shared = {}
         parameters = {"mode": "fixed-at", "at": args.at, "gc_values": args.gc_values}
-        columns = ["n_gc", "alpha0", "sigma", "max_pg", "error"]
-        _write(args, _render(args, parameters, columns, rows))
-        return 0
-    if args.ratio is None or not args.n_values:
-        raise ValueError("fixed-ratio sweep needs --ratio and --n-values")
-    ratio = _parse_ratio(args.ratio)
-    n_values = _parse_int_list(args.n_values, "--n-values")
-    result = sweep_fixed_ratio(ratio, n_values)
+    else:
+        if args.ratio is None or not args.n_values:
+            raise ValueError("fixed-ratio sweep needs --ratio and --n-values")
+        ratio = _parse_ratio(args.ratio)
+        n_values = _parse_int_list(args.n_values, "--n-values")
+        result = sweep_fixed_ratio(ratio, n_values)
+        sweep_rows = result.rows
+        shared = {"slope": result.slope, "intercept": result.intercept}
+        parameters = {
+            "mode": "fixed-ratio",
+            "ratio": args.ratio,
+            "n_values": args.n_values,
+        }
     rows = []
-    for row in result.rows:
-        rows.append(
-            {
-                "n": row.n,
-                "n_at": row.n_at,
-                "n_gc": row.n_gc,
-                "alpha0": row.fit.alpha0 if row.fit else None,
-                "sigma": row.fit.sigma if row.fit else None,
-                "max_pg": row.fit.amplitude if row.fit else None,
-                "error": row.error,
-                "slope": result.slope,
-                "intercept": result.intercept,
-            }
-        )
-    parameters = {
-        "mode": "fixed-ratio",
-        "ratio": args.ratio,
-        "n_values": args.n_values,
-    }
-    columns = [
-        "n",
-        "n_at",
-        "n_gc",
-        "alpha0",
-        "sigma",
-        "max_pg",
-        "error",
-        "slope",
-        "intercept",
-    ]
-    _write(args, _render(args, parameters, columns, rows))
+    for row in sweep_rows:
+        # The content columns, then the fit's cells (empty on a failed row).
+        cells = row._asdict()
+        fit, error = cells.pop("fit"), cells.pop("error")
+        cells["alpha0"] = fit.alpha0 if fit else None
+        cells["sigma"] = fit.sigma if fit else None
+        cells["max_pg"] = fit.amplitude if fit else None
+        cells["error"] = error
+        rows.append({**cells, **shared})
+    _write(args, _render(args, parameters, rows))
     return 0
 
 
@@ -338,7 +301,7 @@ def cmd_oracle(args) -> int:
         for n_at, alpha in sorted(buckets)
     ]
     parameters = {"n": args.n}
-    _write(args, _render(args, parameters, ["n_at", "alpha", "count"], rows))
+    _write(args, _render(args, parameters, rows))
     return 0
 
 

@@ -12,9 +12,9 @@ seed by a counter-based spawn-key split,
         read little-endian as one 128-bit integer,
 
 and the generator for a stream is ``numpy.random.default_rng(subseed)``.
-Paths in use: `empirical_pdf` for set i uses (i,); `convergence_study`
-uses (j, i) for run-count index j and set index i.  Any reported row is
-re-derivable from its emitted subseed alone.
+Paths in use: `empirical_pdf` and the `mc` command use (i,) for set i;
+`convergence_study` uses (j, i) for run-count index j and set index i.
+Any reported row is re-derivable from its emitted subseed alone.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ def derive_subseed(seed: int, *path: int) -> int:
     return low | (high << 64)
 
 
-def _rng(subseed: int) -> np.random.Generator:
-    """The generator of the stream with this subseed (used by `cli` too)."""
-    import numpy as np
-
-    return np.random.default_rng(subseed)
-
-
 def sample_chains(
     spec: NecklaceSpec, runs: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -81,11 +74,6 @@ def sample_chains(
     chains = np.tile(base, (runs, 1))
     rng.permuted(chains, axis=1, out=chains)
     return chains
-
-
-def sample_chain(spec: NecklaceSpec, rng: np.random.Generator) -> str:
-    """One uniformly random chain as a '0'/'1' bead string."""
-    return "".join("1" if b else "0" for b in sample_chains(spec, 1, rng)[0])
 
 
 def count_alternations_rows(chains: np.ndarray) -> np.ndarray:
@@ -106,19 +94,35 @@ def alternation_histogram(
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+def _run_set(
+    config: MCConfig, *path: int
+) -> tuple[int, dict[int, int], DiscretePdf]:
+    """Subseed, raw histogram and empirical pdf of the set at `path`.
+
+    The one place a simulation set is run: the stream is
+    derive_subseed(config.seed, *path), and the pdf holds each observed
+    alternation value's count over config.runs.  `cli` uses it too.
+    """
+    import numpy as np
+
+    subseed = derive_subseed(config.seed, *path)
+    histogram = alternation_histogram(
+        config.spec, config.runs, np.random.default_rng(subseed)
+    )
+    pdf = DiscretePdf(
+        {alpha: count / config.runs for alpha, count in histogram.items()},
+        "empirical",
+    )
+    return subseed, histogram, pdf
+
+
 def empirical_pdf(config: MCConfig, set_index: int = 0) -> DiscretePdf:
     """Normalized alternation frequencies from one simulation set.
 
     Deterministic in (config, set_index): the stream is
     derive_subseed(config.seed, set_index).
     """
-    histogram = alternation_histogram(
-        config.spec, config.runs, _rng(derive_subseed(config.seed, set_index))
-    )
-    return DiscretePdf(
-        {alpha: count / config.runs for alpha, count in histogram.items()},
-        "empirical",
-    )
+    return _run_set(config, set_index)[2]
 
 
 def total_abs_diff(p: DiscretePdf, q: DiscretePdf) -> float:
@@ -149,31 +153,24 @@ def convergence_study(
     run-count index j, set i) are compared against the theoretical pdf;
     the row carries the mean and population standard deviation of the
     per-set distances (a single set reports a standard deviation of 0).
+    Each run count makes an `MCConfig`, so run counts, `sets` and `seed`
+    are checked as there, before any sampling.
     """
     import numpy as np
 
     if not run_counts:
         raise ValueError("run_counts must be non-empty")
-    if sets < 1:
-        raise ValueError(f"sets must be >= 1, got {sets}")
+    configs = [MCConfig(spec, runs, seed, sets) for runs in run_counts]
     reference = theoretical_pdf(spec)
     rows = []
-    for j, runs in enumerate(run_counts):
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
-        distances = []
-        for i in range(sets):
-            histogram = alternation_histogram(
-                spec, runs, _rng(derive_subseed(seed, j, i))
-            )
-            empirical = DiscretePdf(
-                {alpha: count / runs for alpha, count in histogram.items()},
-                "empirical",
-            )
-            distances.append(total_abs_diff(empirical, reference))
+    for j, config in enumerate(configs):
+        distances = [
+            total_abs_diff(_run_set(config, j, i)[2], reference)
+            for i in range(sets)
+        ]
         rows.append(
             ConvergenceRow(
-                runs=runs,
+                runs=config.runs,
                 mean_d=float(np.mean(distances)),
                 std_d=float(np.std(distances)),
                 d_values=tuple(distances),

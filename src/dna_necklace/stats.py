@@ -29,9 +29,6 @@ class DiscretePdf(
     def prob(self, alpha: int) -> float:
         return self.entries.get(alpha, 0.0)
 
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
     def total(self) -> float:
         return sum(self.entries.values())
 
@@ -153,14 +150,15 @@ def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
         raise ValueError(f"n_at must be >= 1, got {n_at}")
     if not gc_values:
         raise ValueError("gc_values must be non-empty")
-    rows = []
-    for n_gc in gc_values:
-        try:
-            fit = fit_gaussian(theoretical_pdf(NecklaceSpec(n_at, n_gc)))
-            rows.append(FixedAtRow(n_gc=n_gc, fit=fit))
-        except (ValueError, RuntimeError) as exc:
-            rows.append(FixedAtRow(n_gc=n_gc, error=str(exc)))
-    return rows
+    return [FixedAtRow(n_gc, *_fit_or_error(n_at, n_gc)) for n_gc in gc_values]
+
+
+def _fit_or_error(n_at: int, n_gc: int) -> tuple[GaussianFit | None, str | None]:
+    """(fit, None) for this content's pdf, or (None, reason) if it fails."""
+    try:
+        return fit_gaussian(theoretical_pdf(NecklaceSpec(n_at, n_gc))), None
+    except (ValueError, RuntimeError) as exc:
+        return None, str(exc)
 
 
 class RatioRow(
@@ -216,11 +214,7 @@ def sweep_fixed_ratio(
     rows = []
     for n in n_values:
         n_at, n_gc = split_by_ratio(ratio_gc_to_at, n)
-        try:
-            fit = fit_gaussian(theoretical_pdf(NecklaceSpec(n_at, n_gc)))
-            rows.append(RatioRow(n=n, n_at=n_at, n_gc=n_gc, fit=fit))
-        except (ValueError, RuntimeError) as exc:
-            rows.append(RatioRow(n=n, n_at=n_at, n_gc=n_gc, error=str(exc)))
+        rows.append(RatioRow(n, n_at, n_gc, *_fit_or_error(n_at, n_gc)))
     fitted = [(row.n, row.fit.alpha0) for row in rows if row.fit is not None]
     if len(fitted) >= 2:
         slope, intercept = np.polyfit(

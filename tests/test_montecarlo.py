@@ -8,7 +8,6 @@ from dna_necklace.montecarlo import (
     count_alternations_rows,
     derive_subseed,
     empirical_pdf,
-    sample_chain,
     sample_chains,
     total_abs_diff,
 )
@@ -45,13 +44,13 @@ class TestSubseeds:
 class TestSampling:
     def test_single_arrangement_is_forced(self):
         rng = rng_for(5, 0)
-        assert sample_chain(NecklaceSpec(1, 0), rng) == "1"
-        assert sample_chain(NecklaceSpec(0, 3), rng) == "000"
+        assert sample_chains(NecklaceSpec(1, 0), 1, rng).tolist() == [[1]]
+        assert sample_chains(NecklaceSpec(0, 3), 1, rng).tolist() == [[0, 0, 0]]
 
     def test_two_bead_chain_hits_both_arrangements(self):
         rng = rng_for(5, 0)
-        seen = {sample_chain(NecklaceSpec(1, 1), rng) for _ in range(64)}
-        assert seen == {"10", "01"}
+        chains = sample_chains(NecklaceSpec(1, 1), 64, rng)
+        assert {tuple(chain) for chain in chains.tolist()} == {(1, 0), (0, 1)}
 
     def test_content_is_conserved(self):
         chains = sample_chains(NecklaceSpec(7, 5), 500, rng_for(11, 0))
@@ -145,3 +144,7 @@ class TestConvergenceStudy:
             convergence_study(NecklaceSpec(2, 2), [], sets=2, seed=1)
         with pytest.raises(ValueError):
             convergence_study(NecklaceSpec(2, 2), [0], sets=2, seed=1)
+        # The seed contract of MCConfig and `mc --seed`, with its message.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit unsigned"):
+                convergence_study(NecklaceSpec(2, 2), [10], sets=2, seed=seed)
