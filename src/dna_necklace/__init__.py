@@ -16,7 +16,6 @@ from .counting import (
     bracelet_count_direct,
     count_necklaces,
     necklace_count,
-    total_count,
     zero_alternation_count,
 )
 from .montecarlo import (
@@ -76,7 +75,6 @@ __all__ = [
     "sweep_fixed_ratio",
     "theoretical_pdf",
     "total_abs_diff",
-    "total_count",
     "totient",
     "zero_alternation_count",
 ]

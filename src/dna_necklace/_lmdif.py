@@ -55,9 +55,7 @@ FAILURES = {
 Residuals = Callable[[Sequence[float]], Sequence[float]]
 
 
-def lmdif(
-    fcn: Residuals, x0: Sequence[float], maxfev: int = MAXFEV
-) -> tuple[list[float], int]:
+def lmdif(fcn: Residuals, x0: Sequence[float]) -> tuple[list[float], int]:
     """Minimise sum(fcn(x)**2) from x0; returns (x, MINPACK info code).
 
     `fcn` maps n parameters to m >= n residuals.  Codes 1-4 mean a
@@ -175,7 +173,7 @@ def lmdif(
                 return x, 7
             if abs(actred) <= EPSMCH and prered <= EPSMCH and 0.5 * ratio <= 1.0:
                 return x, 6
-            if nfev >= maxfev:
+            if nfev >= MAXFEV:
                 return x, 5
             if ratio >= 1e-4:
                 break

@@ -47,16 +47,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _provenance(args, parameters: dict) -> str:
+# Namespace keys that frame a run rather than parameterize it.
+_FRAME_KEYS = frozenset(("quiet", "command", "func", "format", "out"))
+
+
+def _parameters(args) -> dict:
+    """The options the command ran with, in parser order; unset ones omitted."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _FRAME_KEYS and value is not None
+    }
+
+
+def _provenance(args) -> str:
     """The ``# key: value`` lines that open CSV output; none under --quiet."""
     if args.quiet:
         return ""
     lines = [f"# command: {args.command}\n"]
-    lines += [f"# {key}: {value}\n" for key, value in parameters.items()]
+    lines += [f"# {key}: {value}\n" for key, value in _parameters(args).items()]
     return "".join(lines)
 
 
-def _render(args, parameters: dict, rows: list[dict]) -> str:
+def _render(args, rows: list[dict]) -> str:
     """A table as CSV or JSON; the columns are the first row's keys, in order.
 
     Every command emits at least one row, and all its rows share one key
@@ -67,11 +80,11 @@ def _render(args, parameters: dict, rows: list[dict]) -> str:
 
         envelope: dict = {"command": args.command}
         if not args.quiet:
-            envelope["parameters"] = parameters
+            envelope["parameters"] = _parameters(args)
         envelope["rows"] = rows
         return json.dumps(envelope, indent=2) + "\n"
     out = io.StringIO()
-    out.write(_provenance(args, parameters))
+    out.write(_provenance(args))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(rows[0])
     for row in rows:
@@ -91,26 +104,21 @@ def _spec(args) -> NecklaceSpec:
     return NecklaceSpec(args.at, args.gc)
 
 
-def cmd_count(args) -> int:
-    count = count_necklaces(_spec(args), args.alpha)
-    parameters = {"alpha": args.alpha, "at": args.at, "gc": args.gc}
-    _write(args, f"{_provenance(args, parameters)}{count}\n")
-    return 0
+def cmd_count(args) -> str:
+    return f"{_provenance(args)}{count_necklaces(_spec(args), args.alpha)}\n"
 
 
-def cmd_pdf(args) -> int:
+def cmd_pdf(args) -> str:
     dist = alternation_distribution(_spec(args))
     total = sum(dist.values())
     rows = [
         {"alpha": alpha, "count": str(dist[alpha]), "probability": dist[alpha] / total}
         for alpha in sorted(dist)
     ]
-    parameters = {"at": args.at, "gc": args.gc}
-    _write(args, _render(args, parameters, rows))
-    return 0
+    return _render(args, rows)
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> str:
     config = MCConfig(spec=_spec(args), runs=args.runs, seed=args.seed, sets=args.sets)
     reference = theoretical_pdf(config.spec)
     rows = []
@@ -128,16 +136,7 @@ def cmd_mc(args) -> int:
                     "frequency": empirical.entries[alpha],
                 }
             )
-    parameters = {
-        "at": args.at,
-        "gc": args.gc,
-        "runs": args.runs,
-        "seed": args.seed,
-        "sets": args.sets,
-        "prng": PRNG_NAME,
-    }
-    _write(args, _render(args, parameters, rows))
-    return 0
+    return _render(args, rows)
 
 
 def _read_pdf_file(path: str) -> DiscretePdf:
@@ -213,29 +212,18 @@ def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | floa
         ) from None
 
 
-def cmd_fit(args) -> int:
-    if args.pdf_file:
+def cmd_fit(args) -> str:
+    if args.pdf_file is not None and args.at is None and args.gc is None:
         pdf = _read_pdf_file(args.pdf_file)
-        parameters = {"pdf_file": args.pdf_file}
-    else:
-        if args.at is None or args.gc is None:
-            raise ValueError("fit needs either --pdf-file or both --at and --gc")
+    elif args.pdf_file is None and args.at is not None and args.gc is not None:
         pdf = theoretical_pdf(_spec(args))
-        parameters = {"at": args.at, "gc": args.gc}
+    else:
+        raise ValueError("fit takes either --pdf-file or both --at and --gc")
     try:
         fit = fit_gaussian(pdf)
     except RuntimeError as exc:  # the least-squares search gave up
         raise ValueError(f"Gaussian fit did not converge: {exc}") from exc
-    rows = [
-        {
-            "alpha0": fit.alpha0,
-            "sigma": fit.sigma,
-            "amplitude": fit.amplitude,
-            "rmse": fit.rmse,
-        }
-    ]
-    _write(args, _render(args, parameters, rows))
-    return 0
+    return _render(args, [fit._asdict()])
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -259,27 +247,25 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return gc_part, at_part
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     if args.mode == "fixed-at":
         if args.at is None or not args.gc_values:
             raise ValueError("fixed-at sweep needs --at and --gc-values")
+        if args.ratio is not None or args.n_values is not None:
+            raise ValueError("fixed-at sweep takes no --ratio or --n-values")
         gc_values = _parse_int_list(args.gc_values, "--gc-values")
         sweep_rows = sweep_fixed_at(args.at, gc_values)
         shared = {}
-        parameters = {"mode": "fixed-at", "at": args.at, "gc_values": args.gc_values}
     else:
         if args.ratio is None or not args.n_values:
             raise ValueError("fixed-ratio sweep needs --ratio and --n-values")
+        if args.at is not None or args.gc_values is not None:
+            raise ValueError("fixed-ratio sweep takes no --at or --gc-values")
         ratio = _parse_ratio(args.ratio)
         n_values = _parse_int_list(args.n_values, "--n-values")
         result = sweep_fixed_ratio(ratio, n_values)
         sweep_rows = result.rows
         shared = {"slope": result.slope, "intercept": result.intercept}
-        parameters = {
-            "mode": "fixed-ratio",
-            "ratio": args.ratio,
-            "n_values": args.n_values,
-        }
     rows = []
     for row in sweep_rows:
         # The content columns, then the fit's cells (empty on a failed row).
@@ -290,19 +276,16 @@ def cmd_sweep(args) -> int:
         cells["max_pg"] = fit.amplitude if fit else None
         cells["error"] = error
         rows.append({**cells, **shared})
-    _write(args, _render(args, parameters, rows))
-    return 0
+    return _render(args, rows)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     buckets = enumerate_all(args.n)
     rows = [
         {"n_at": n_at, "alpha": alpha, "count": str(buckets[(n_at, alpha)])}
         for n_at, alpha in sorted(buckets)
     ]
-    parameters = {"n": args.n}
-    _write(args, _render(args, parameters, rows))
-    return 0
+    return _render(args, rows)
 
 
 def _add_table_flags(parser: argparse.ArgumentParser) -> None:
@@ -347,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     p.add_argument("--sets", type=int, default=5, help="independent sets")
     _add_table_flags(p)
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(func=cmd_mc, prng=PRNG_NAME)
 
     p = sub.add_parser("fit", help="Gaussian fit of a pdf")
     p.add_argument("--at", type=int)
@@ -383,18 +366,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write(args, args.func(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except IntegralityError as exc:
         print(f"integrality failure: {exc}", file=sys.stderr)
         return INTEGRALITY_ERROR
+    return 0
 
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -154,18 +154,13 @@ def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
     return dist
 
 
-def total_count(spec: NecklaceSpec) -> int:
-    """Total distinct necklaces with the given content, summed over alpha."""
-    return sum(alternation_distribution(spec).values())
-
-
 def bracelet_count_direct(spec: NecklaceSpec) -> int:
     """Total distinct necklaces, by a Burnside average over bead positions.
 
     This bypasses the container construction entirely: the rotation and
     reflection group of the N bead positions is averaged directly, giving
-    an independent derivation of the same number as `total_count`.  Kept
-    as a cross-check oracle.
+    an independent derivation of the sum of `alternation_distribution`'s
+    counts.  Kept as a cross-check oracle.
     """
     n = spec.total
     n_at = spec.n_at

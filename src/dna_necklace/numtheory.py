@@ -13,9 +13,10 @@ import math
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention C(n, k) = 0 for k < 0, k > n, or n < 0.
 
-    The zero convention is load-bearing: the series coefficient formulas
-    rely on out-of-range binomials vanishing to encode impossible bead
-    assignments, so this is a total function rather than one that raises.
+    The zero convention is load-bearing: `bracelet_count_direct` relies on
+    out-of-range binomials vanishing to encode impossible bead assignments
+    (e.g. two AT beads on a mirror axis when n_at = 0), so this is a total
+    function rather than one that raises.
     """
     if n < 0 or k < 0 or k > n:
         return 0

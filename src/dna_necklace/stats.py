@@ -29,9 +29,6 @@ class DiscretePdf(
     def prob(self, alpha: int) -> float:
         return self.entries.get(alpha, 0.0)
 
-    def total(self) -> float:
-        return sum(self.entries.values())
-
 
 class GaussianFit(namedtuple("GaussianFit", "alpha0 sigma amplitude rmse")):
     """A*exp(-(alpha - alpha0)^2 / (2 sigma^2)) fitted to a pdf.
@@ -144,19 +141,21 @@ def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
     """Gaussian characteristics as n_gc grows at fixed n_at.
 
     Row failures (e.g. supports too small to fit) are recorded on the row
-    and the sweep continues.
+    and the sweep continues.  A bad bead count is a ValueError before any
+    fit, not a failed row.
     """
     if n_at <= 0:
         raise ValueError(f"n_at must be >= 1, got {n_at}")
     if not gc_values:
         raise ValueError("gc_values must be non-empty")
-    return [FixedAtRow(n_gc, *_fit_or_error(n_at, n_gc)) for n_gc in gc_values]
+    specs = [NecklaceSpec(n_at, n_gc) for n_gc in gc_values]
+    return [FixedAtRow(spec.n_gc, *_fit_or_error(spec)) for spec in specs]
 
 
-def _fit_or_error(n_at: int, n_gc: int) -> tuple[GaussianFit | None, str | None]:
+def _fit_or_error(spec: NecklaceSpec) -> tuple[GaussianFit | None, str | None]:
     """(fit, None) for this content's pdf, or (None, reason) if it fails."""
     try:
-        return fit_gaussian(theoretical_pdf(NecklaceSpec(n_at, n_gc))), None
+        return fit_gaussian(theoretical_pdf(spec)), None
     except (ValueError, RuntimeError) as exc:
         return None, str(exc)
 
@@ -213,8 +212,8 @@ def sweep_fixed_ratio(
         raise ValueError("n_values must be non-empty")
     rows = []
     for n in n_values:
-        n_at, n_gc = split_by_ratio(ratio_gc_to_at, n)
-        rows.append(RatioRow(n, n_at, n_gc, *_fit_or_error(n_at, n_gc)))
+        spec = NecklaceSpec(*split_by_ratio(ratio_gc_to_at, n))
+        rows.append(RatioRow(n, *spec, *_fit_or_error(spec)))
     fitted = [(row.n, row.fit.alpha0) for row in rows if row.fit is not None]
     if len(fitted) >= 2:
         slope, intercept = np.polyfit(

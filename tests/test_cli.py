@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dna_necklace import cli
-from dna_necklace.counting import IntegralityError
+from dna_necklace.counting import IntegralityError, NecklaceSpec, bracelet_count_direct
+from dna_necklace.oracle import MAX_ENUMERATION_BITS
 
 
 def run_cli(capsys, *args):
@@ -145,6 +146,16 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit")
         assert code == 2
         assert "--pdf-file" in err
+
+    def test_pdf_file_and_content_rejected(self, capsys, tmp_path):
+        # A readable file, so that only the mix of inputs is at fault.
+        path = tmp_path / "pdf.csv"
+        code, _, _ = run_cli(capsys, "pdf", "--at", "10", "--gc", "10", "--out", str(path))
+        assert code == 0
+        for content in (["--at", "10", "--gc", "10"], ["--gc", "10"]):
+            code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path), *content)
+            assert (code, out) == (2, "")
+            assert err == "error: fit takes either --pdf-file or both --at and --gc\n"
 
     def test_fit_from_synthetic_file(self, capsys, tmp_path):
         path = tmp_path / "gauss.csv"
@@ -362,6 +373,15 @@ class TestOracleCommand:
         assert run_cli(capsys, "oracle", "--n", "19")[0] == 2
         assert run_cli(capsys, "oracle", "--n", "0")[0] == 2
 
+    def test_largest_length_accepted(self, capsys):
+        n = MAX_ENUMERATION_BITS
+        code, out, _ = run_cli(capsys, "--quiet", "oracle", "--n", str(n))
+        assert code == 0
+        total = sum(int(r["count"]) for r in parse_csv(out))
+        assert total == sum(
+            bracelet_count_direct(NecklaceSpec(k, n - k)) for k in range(n + 1)
+        )
+
 
 class TestExitCodes:
     def test_integrality_failure_maps_to_three(self, capsys, monkeypatch):
@@ -501,6 +521,9 @@ _RATIO = st.one_of(
     st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"{t[0]}:{t[1]}"),
     st.sampled_from(["2", "a:b", "1:2:3", ""]),
 )
+# Valid lengths stop at 14 so that no drawn vector costs seconds;
+# TestOracleCommand runs the largest accepted length once.
+_ORACLE_N = st.one_of(_ints(1, 14), st.sampled_from(["-1", "0", "19", "20"]))
 _TABLE = [("--format", st.sampled_from(["csv", "json"]))]
 _ARGV = st.tuples(
     st.sampled_from([[], ["--quiet"]]),
@@ -513,7 +536,7 @@ _ARGV = st.tuples(
             [("--seed", st.integers(-1, 2**64).map(str)), ("--sets", _ints(-1, 4))]
             + _TABLE,
         ),
-        _command("fit", [("--at", _COUNT), ("--gc", _COUNT)], _TABLE),
+        _command("fit", optional=[("--at", _COUNT), ("--gc", _COUNT)] + _TABLE),
         _command(
             "sweep",
             [
@@ -521,7 +544,7 @@ _ARGV = st.tuples(
                 ("--at", _COUNT),
                 ("--gc-values", _INT_LIST),
             ],
-            _TABLE,
+            [("--ratio", _RATIO), ("--n-values", _INT_LIST)] + _TABLE,
         ),
         _command(
             "sweep",
@@ -530,9 +553,9 @@ _ARGV = st.tuples(
                 ("--ratio", _RATIO),
                 ("--n-values", _INT_LIST),
             ],
-            _TABLE,
+            [("--at", _COUNT), ("--gc-values", _INT_LIST)] + _TABLE,
         ),
-        _command("oracle", [("--n", _ints(-1, 20))], _TABLE),
+        _command("oracle", [("--n", _ORACLE_N)], _TABLE),
     ),
 ).map(lambda t: t[0] + t[1])
 

@@ -10,11 +10,15 @@ from dna_necklace.counting import (
     bracelet_count_direct,
     count_necklaces,
     necklace_count,
-    total_count,
     zero_alternation_count,
 )
 from dna_necklace.oracle import enumerate_all
 from reference.cycle_index import count_orbits, dihedral_bipartite_index
+
+
+def total_count(spec):
+    """Total distinct necklaces with the given content, summed over alpha."""
+    return sum(alternation_distribution(spec).values())
 
 
 @st.composite

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dna_necklace import _lmdif
 from dna_necklace._lmdif import lmdif
 from dna_necklace.counting import NecklaceSpec
 from dna_necklace.stats import (
@@ -118,9 +119,10 @@ class TestBitIdentity:
 
 
 @pytest.mark.parametrize("maxfev", [1, 4, 9, 14])
-def test_gives_up_at_maxfev_like_leastsq(maxfev):
+def test_gives_up_at_maxfev_like_leastsq(maxfev, monkeypatch):
+    monkeypatch.setattr(_lmdif, "MAXFEV", maxfev)
     x, y, start = _problem(theoretical_pdf(NecklaceSpec(50, 50)))
-    params, info = lmdif(lambda p: (_gaussian(x, *p) - y).tolist(), start, maxfev)
+    params, info = lmdif(lambda p: (_gaussian(x, *p) - y).tolist(), start)
     reference = optimize.leastsq(
         lambda p: _gaussian(x, *p) - y,
         start,

@@ -38,7 +38,7 @@ class TestTheoreticalPdf:
     def test_normalized_to_machine_precision(self):
         for a, b in [(50, 50), (40, 60), (100, 25), (3, 17), (0, 9)]:
             pdf = theoretical_pdf(NecklaceSpec(a, b))
-            assert abs(pdf.total() - 1.0) < 1e-12
+            assert abs(sum(pdf.entries.values()) - 1.0) < 1e-12
 
     def test_mean_tracks_chain_uniform_mean(self):
         # Class-uniform and chain-uniform weightings agree closely at these
@@ -135,6 +135,9 @@ class TestSweepFixedAt:
             sweep_fixed_at(0, [10])
         with pytest.raises(ValueError):
             sweep_fixed_at(10, [])
+        # A bad count is an argument error, not a failed row.
+        with pytest.raises(ValueError, match="bead counts must be >= 0"):
+            sweep_fixed_at(10, [4, -1])
 
 
 class TestSplitByRatio:
