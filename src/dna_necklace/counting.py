@@ -21,6 +21,9 @@ from math import comb, gcd
 
 from .numtheory import binomial, divisors, totient
 
+# Bound once, as namedtuple's own generated __new__ does.
+_tuple_new = tuple.__new__
+
 
 class IntegralityError(ArithmeticError):
     """An orbit total failed to reduce to an integer.
@@ -46,7 +49,7 @@ class NecklaceSpec(namedtuple("NecklaceSpec", "n_at n_gc")):
             raise ValueError(f"bead counts must be >= 0, got ({n_at}, {n_gc})")
         if n_at + n_gc == 0:
             raise ValueError("the empty necklace (0, 0) is not defined")
-        return tuple.__new__(cls, (n_at, n_gc))
+        return _tuple_new(cls, (n_at, n_gc))
 
     @classmethod
     def _make(cls, iterable) -> NecklaceSpec:
@@ -76,7 +79,8 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
       only when d divides g = gcd(M, n_at, n_gc): C(n_at/d-1, M/d-1)
       choices of white totals times the same for black.  The identity
       (d = 1) always contributes; when g = 1, the usual case, it is the
-      only rotation that does, and no divisor or totient is computed;
+      only rotation that does.  Otherwise d walks 2..g, and each d with
+      g % d == 0 adds its term with one totient call;
     * for odd M each axis fixes one container of each color and pairs
       the rest, [x^r] f(x) f(x^2)^k = C((r-1)//2, k) with k = (M-1)/2;
     * for even M, with k = M/2, k of the M axes pass through two white
@@ -91,35 +95,35 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     """
     if m <= 0:
         raise ValueError(f"container count must be >= 1, got M={m}")
-    n_at, n_gc = spec.n_at, spec.n_gc
-    if m > min(n_at, n_gc):
+    n_at, n_gc = spec
+    if m > n_at or m > n_gc:
         return 0
     fixed = comb(n_at - 1, m - 1) * comb(n_gc - 1, m - 1)
     g = gcd(m, n_at, n_gc)
     if g > 1:
-        for d in divisors(g)[1:]:
-            fixed += (
-                totient(d)
-                * comb(n_at // d - 1, m // d - 1)
-                * comb(n_gc // d - 1, m // d - 1)
-            )
-    if m % 2 == 1:
-        k = (m - 1) // 2
-        fixed += m * comb((n_at - 1) // 2, k) * comb((n_gc - 1) // 2, k)
+        for d in range(2, g + 1):
+            if g % d == 0:
+                fixed += (
+                    totient(d)
+                    * comb(n_at // d - 1, m // d - 1)
+                    * comb(n_gc // d - 1, m // d - 1)
+                )
+    k = m >> 1
+    if m & 1:
+        fixed += m * comb((n_at - 1) >> 1, k) * comb((n_gc - 1) >> 1, k)
     else:
-        k = m // 2
-        if n_gc % 2 == 0:
-            through = comb(n_at // 2, k) + comb((n_at - 1) // 2, k)
-            fixed += k * through * comb(n_gc // 2 - 1, k - 1)
-        if n_at % 2 == 0:
-            through = comb(n_gc // 2, k) + comb((n_gc - 1) // 2, k)
-            fixed += k * through * comb(n_at // 2 - 1, k - 1)
-    orbits, remainder = divmod(fixed, 2 * m)
-    if remainder:
+        if not n_gc & 1:
+            through = comb(n_at >> 1, k) + comb((n_at - 1) >> 1, k)
+            fixed += k * through * comb((n_gc >> 1) - 1, k - 1)
+        if not n_at & 1:
+            through = comb(n_gc >> 1, k) + comb((n_gc - 1) >> 1, k)
+            fixed += k * through * comb((n_at >> 1) - 1, k - 1)
+    order = 2 * m
+    if fixed % order:
         raise IntegralityError(
-            f"Burnside total {fixed} not divisible by group order {2 * m}"
+            f"Burnside total {fixed} not divisible by group order {order}"
         )
-    return orbits
+    return fixed // order
 
 
 def zero_alternation_count(spec: NecklaceSpec) -> int:
@@ -133,13 +137,13 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
     Walking the cycle returns to its start, so alternations always come in
     pairs; an odd alpha is a caller error, not a zero.
     """
+    if alpha > 0 and not alpha & 1:
+        return necklace_count(alpha >> 1, spec)
     if alpha < 0:
         raise ValueError(f"alternation count must be >= 0, got {alpha}")
     if alpha % 2 != 0:
         raise ValueError(f"alternation count must be even, got {alpha}")
-    if alpha == 0:
-        return zero_alternation_count(spec)
-    return necklace_count(alpha // 2, spec)
+    return zero_alternation_count(spec)
 
 
 def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
@@ -176,12 +180,11 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
         fixed += n * binomial((n - 1) // 2, n_at // 2)
     else:
         half = n // 2
-        # Axes between beads: all positions paired.
+        # Axes between beads pair all positions, so they fix assignments
+        # only for even n_at; on axes through two beads the pair of fixed
+        # beads absorbs the parity of n_at.
         if n_at % 2 == 0:
             fixed += half * binomial(half, n_at // 2)
-        # Axes through two beads: the pair of fixed beads absorbs the
-        # parity of n_at.
-        if n_at % 2 == 0:
             fixed += half * (
                 binomial(half - 1, n_at // 2) + binomial(half - 1, (n_at - 2) // 2)
             )
@@ -189,7 +192,7 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
             fixed += half * 2 * binomial(half - 1, (n_at - 1) // 2)
     orbits, remainder = divmod(fixed, 2 * n)
     if remainder:
-        raise ArithmeticError(
+        raise IntegralityError(
             f"Burnside total {fixed} not divisible by group order {2 * n}"
         )
     return orbits

@@ -26,6 +26,10 @@ from .stats import DiscretePdf, theoretical_pdf
 
 PRNG_NAME = "PCG64"
 
+# `alternation_histogram` samples and counts this many chains at a time, so
+# its memory is bounded by the block, not by the run count.
+_BLOCK_ROWS = 4096
+
 
 class MCConfig(namedtuple("MCConfig", "spec runs seed sets")):
     """One simulation request: spec, run count, master seed, set count."""
@@ -86,12 +90,22 @@ def count_alternations_rows(chains: np.ndarray) -> np.ndarray:
 def alternation_histogram(
     spec: NecklaceSpec, runs: int, rng: np.random.Generator
 ) -> dict[int, int]:
-    """Raw observation counts of alternation values over `runs` chains."""
+    """Raw observation counts of alternation values over `runs` chains.
+
+    Chains are drawn in blocks of at most _BLOCK_ROWS rows from `rng`.
+    The shuffle consumes the generator row by row, so the blocks draw the
+    same chains, in the same order, as one `runs`-row matrix would.  Keys
+    are the observed values in increasing order.
+    """
     import numpy as np
 
-    alternations = count_alternations_rows(sample_chains(spec, runs, rng))
-    values, counts = np.unique(alternations, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    totals = np.zeros(spec.total + 1, np.int64)
+    for start in range(0, runs, _BLOCK_ROWS):
+        chains = sample_chains(spec, min(_BLOCK_ROWS, runs - start), rng)
+        totals += np.bincount(
+            count_alternations_rows(chains), minlength=spec.total + 1
+        )
+    return {alpha: count for alpha, count in enumerate(totals.tolist()) if count}
 
 
 def _run_set(

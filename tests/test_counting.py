@@ -138,6 +138,26 @@ class TestClosedFormKernel:
         with pytest.raises(IntegralityError, match="not divisible"):
             necklace_count(2, NecklaceSpec(4, 6))
 
+    def test_misread_totient_past_two_raises(self, monkeypatch):
+        # gcd(6, 6, 12) = 6: the third-turns fix C(1, 1) * C(3, 1) = 3
+        # assignments, so phi(3) read one higher leaves 603 fixed points
+        # over 2M = 12; the d = 2 and d = 6 terms are read correctly.
+        real = counting.totient
+        monkeypatch.setattr(counting, "totient", lambda d: real(d) + (d == 3))
+        with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
+            necklace_count(6, NecklaceSpec(6, 12))
+
+    @pytest.mark.parametrize(
+        "m, n_at, n_gc",
+        [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)],
+    )
+    def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
+        # gcd(M, n_at, n_gc) = M, with 12 to 24 divisors, each of whose
+        # rotations fixes some assignments.
+        assert necklace_count(m, NecklaceSpec(n_at, n_gc)) == count_orbits(
+            dihedral_bipartite_index(m), n_at, n_gc
+        )
+
     def test_non_divisible_rotation_sum_maps_to_exit_three(
         self, monkeypatch, capsys
     ):
@@ -163,6 +183,33 @@ class TestCountNecklaces:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             count_necklaces(NecklaceSpec(5, 5), -2)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (-3, "must be >= 0, got -3"),
+            (-2, "must be >= 0, got -2"),
+            (-1, "must be >= 0, got -1"),
+            (1, "must be even, got 1"),
+            (3, "must be even, got 3"),
+        ],
+    )
+    def test_rejection_messages_and_their_order(self, alpha, message):
+        # A negative odd alpha is reported as negative, not as odd.
+        with pytest.raises(ValueError) as info:
+            count_necklaces(NecklaceSpec(5, 5), alpha)
+        assert str(info.value) == f"alternation count {message}"
+
+    def test_matches_distribution_when_rotations_contribute(self):
+        for spec in [
+            NecklaceSpec(4, 6),
+            NecklaceSpec(6, 12),
+            NecklaceSpec(12, 18),
+            NecklaceSpec(24, 24),
+        ]:
+            dist = alternation_distribution(spec)
+            for alpha in range(0, spec.max_alternations + 1, 2):
+                assert count_necklaces(spec, alpha) == dist[alpha], (spec, alpha)
 
 
 class TestZeroAlternationCount:
@@ -210,6 +257,15 @@ class TestTotals:
         assert bracelet_count_direct(NecklaceSpec(2, 2)) == 2
         assert bracelet_count_direct(NecklaceSpec(0, 1)) == 1
         assert bracelet_count_direct(NecklaceSpec(8, 6)) == 126
+
+    def test_direct_burnside_remainder_raises(self, monkeypatch):
+        # C(14, 8) read one higher leaves 3529 fixed points over 2N = 28.
+        real = counting.binomial
+        monkeypatch.setattr(
+            counting, "binomial", lambda n, k: real(n, k) + ((n, k) == (14, 8))
+        )
+        with pytest.raises(IntegralityError, match="3529 not divisible"):
+            bracelet_count_direct(NecklaceSpec(8, 6))
 
     def test_two_independent_derivations_agree(self):
         specs = [

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dna_necklace import montecarlo
 from dna_necklace.counting import NecklaceSpec
 from dna_necklace.montecarlo import (
     MCConfig,
+    alternation_histogram,
     convergence_study,
     count_alternations_rows,
     derive_subseed,
@@ -79,6 +81,16 @@ class TestSampling:
         assert len(counts) == 6
         stderr = np.sqrt((1 / 6) * (5 / 6) / runs)
         assert (abs(counts / runs - 1 / 6) < 5 * stderr).all()
+
+    @pytest.mark.parametrize("spec", [NecklaceSpec(22, 18), NecklaceSpec(3, 1)])
+    def test_block_histogram_matches_one_matrix(self, spec):
+        # Runs that end one row into a third block: the blocks must draw the
+        # chains one runs x N matrix would, from the same generator.
+        runs = 2 * montecarlo._BLOCK_ROWS + 1
+        whole = count_alternations_rows(sample_chains(spec, runs, rng_for(23, 0)))
+        values, counts = np.unique(whole, return_counts=True)
+        histogram = alternation_histogram(spec, runs, rng_for(23, 0))
+        assert list(histogram.items()) == list(zip(values.tolist(), counts.tolist()))
 
 
 class TestEmpiricalPdf:
