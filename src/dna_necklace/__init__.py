@@ -28,7 +28,7 @@ from .montecarlo import (
     sample_chains,
     total_abs_diff,
 )
-from .numtheory import binomial, divisors, totient
+from .numtheory import totient
 from .oracle import (
     MAX_ENUMERATION_BITS,
     canonical_form,
@@ -57,14 +57,12 @@ __all__ = [
     "PRNG_NAME",
     "alternation_distribution",
     "alternation_histogram",
-    "binomial",
     "bracelet_count_direct",
     "canonical_form",
     "convergence_study",
     "count_alternations",
     "count_necklaces",
     "derive_subseed",
-    "divisors",
     "empirical_pdf",
     "enumerate_all",
     "fit_gaussian",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 
 from .counting import (
@@ -36,6 +37,21 @@ from .stats import (
 
 USAGE_ERROR = 2
 INTEGRALITY_ERROR = 3
+
+
+def _digits(count: int) -> str:
+    """The exact decimal digits of a count, however many there are.
+
+    `str` refuses ints past the interpreter's digit limit
+    (`sys.get_int_max_str_digits()`, 4 300 by default); `decimal` converts
+    them exactly without changing that limit, and is loaded only then.
+    """
+    try:
+        return str(count)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(count))
 
 
 def _fmt(value) -> str:
@@ -105,14 +121,15 @@ def _spec(args) -> NecklaceSpec:
 
 
 def cmd_count(args) -> str:
-    return f"{_provenance(args)}{count_necklaces(_spec(args), args.alpha)}\n"
+    count = count_necklaces(_spec(args), args.alpha)
+    return f"{_provenance(args)}{_digits(count)}\n"
 
 
 def cmd_pdf(args) -> str:
     dist = alternation_distribution(_spec(args))
     total = sum(dist.values())
     rows = [
-        {"alpha": alpha, "count": str(dist[alpha]), "probability": dist[alpha] / total}
+        {"alpha": alpha, "count": _digits(dist[alpha]), "probability": dist[alpha] / total}
         for alpha in sorted(dist)
     ]
     return _render(args, rows)
@@ -132,7 +149,7 @@ def cmd_mc(args) -> str:
                     "sub_seed": str(subseed),
                     "d": distance,
                     "alpha": alpha,
-                    "count": str(histogram[alpha]),
+                    "count": _digits(histogram[alpha]),
                     "frequency": empirical.entries[alpha],
                 }
             )
@@ -176,10 +193,7 @@ def _read_pdf_file(path: str) -> DiscretePdf:
                     f"{where}, column alpha: must be even and >= 0, got {alpha}"
                 )
             if alpha > sys.float_info.max:
-                raise ValueError(
-                    f"{where}, column alpha: too large for floating-point "
-                    "arithmetic"
-                )
+                raise ValueError(f"{where}, column alpha: {_TOO_LARGE}")
             if alpha in entries:
                 raise ValueError(
                     f"{where}, column alpha: {alpha} appears more than once"
@@ -197,6 +211,9 @@ def _read_pdf_file(path: str) -> DiscretePdf:
     return DiscretePdf(entries, "file")
 
 
+_TOO_LARGE = "too large for floating-point arithmetic"
+
+
 def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | float:
     """One parsed cell of a --pdf-file row, or a ValueError naming it."""
     text = record[column]
@@ -207,6 +224,10 @@ def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | floa
     try:
         return parse(text)
     except ValueError:
+        if parse is int and re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            # Only the interpreter's digit limit refuses a decimal integer,
+            # and one that long is far past float range.
+            raise ValueError(f"{where}, column {column}: {_TOO_LARGE}") from None
         raise ValueError(
             f"{where}, column {column}: expected {kind}, got {text!r}"
         ) from None
@@ -282,7 +303,7 @@ def cmd_sweep(args) -> str:
 def cmd_oracle(args) -> str:
     buckets = enumerate_all(args.n)
     rows = [
-        {"n_at": n_at, "alpha": alpha, "count": str(buckets[(n_at, alpha)])}
+        {"n_at": n_at, "alpha": alpha, "count": _digits(buckets[(n_at, alpha)])}
         for n_at, alpha in sorted(buckets)
     ]
     return _render(args, rows)

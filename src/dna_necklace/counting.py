@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, gcd
 
-from .numtheory import binomial, divisors, totient
+from .numtheory import totient
 
 # Bound once, as namedtuple's own generated __new__ does.
 _tuple_new = tuple.__new__
@@ -87,9 +87,15 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
       containers and k through two black ones.  The color with the fixed
       containers gives [x^r] f(x)^2 f(x^2)^(k-1) = C(r//2, k) +
       C((r-1)//2, k); the other color, paired throughout, gives
-      [x^r] f(x^2)^k = C(r/2-1, k-1) for even r and 0 otherwise.
+      [x^r] f(x^2)^k = C(r/2-1, k-1) for even r and 0 otherwise.  The
+      sum folds into one term: its halves are equal for odd r, and for
+      r = 2a Pascal's rule with C(a-1, k) = ((a-k)/k) C(a-1, k-1) gives
+      C(a, k) + C(a-1, k) = ((2a-k)/k) C(a-1, k-1).  So the axes fix
+      (n_at + n_gc - M) C(n_at/2-1, k-1) C(n_gc/2-1, k-1) assignments
+      when both colors are even, M C(odd//2, k) C(even/2-1, k-1) when
+      exactly one is, and none when both are odd.
 
-    Once 1 <= M <= min(n_at, n_gc) no binomial argument is negative, and
+    Once 1 <= M <= min(n_at, n_gc) no argument of C is negative, and
     math.comb already gives 0 for k > n.  The fixed-point total must
     divide by the group order 2M; a remainder raises IntegralityError.
     """
@@ -111,13 +117,14 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     k = m >> 1
     if m & 1:
         fixed += m * comb((n_at - 1) >> 1, k) * comb((n_gc - 1) >> 1, k)
-    else:
-        if not n_gc & 1:
-            through = comb(n_at >> 1, k) + comb((n_at - 1) >> 1, k)
-            fixed += k * through * comb((n_gc >> 1) - 1, k - 1)
-        if not n_at & 1:
-            through = comb(n_gc >> 1, k) + comb((n_gc - 1) >> 1, k)
-            fixed += k * through * comb((n_at >> 1) - 1, k - 1)
+    elif not n_at & 1:
+        if n_gc & 1:
+            fixed += m * comb(n_gc >> 1, k) * comb((n_at >> 1) - 1, k - 1)
+        else:
+            paired = comb((n_at >> 1) - 1, k - 1) * comb((n_gc >> 1) - 1, k - 1)
+            fixed += (n_at + n_gc - m) * paired
+    elif not n_gc & 1:
+        fixed += m * comb(n_at >> 1, k) * comb((n_gc >> 1) - 1, k - 1)
     order = 2 * m
     if fixed % order:
         raise IntegralityError(
@@ -168,28 +175,21 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
     """
     n = spec.total
     n_at = spec.n_at
-    fixed = 0
     # Rotations with cycle length d (and n/d cycles) number totient(d);
-    # fixed arrangements need every cycle monochrome, so d must divide n_at.
-    for d in divisors(n):
-        if n_at % d == 0:
-            fixed += totient(d) * binomial(n // d, n_at // d)
-    if n % 2 == 1:
-        # Each axis fixes one bead and pairs the rest; the fixed bead's
-        # color is forced by the parity of n_at.
-        fixed += n * binomial((n - 1) // 2, n_at // 2)
-    else:
-        half = n // 2
-        # Axes between beads pair all positions, so they fix assignments
-        # only for even n_at; on axes through two beads the pair of fixed
-        # beads absorbs the parity of n_at.
-        if n_at % 2 == 0:
-            fixed += half * binomial(half, n_at // 2)
-            fixed += half * (
-                binomial(half - 1, n_at // 2) + binomial(half - 1, (n_at - 2) // 2)
-            )
-        else:
-            fixed += half * 2 * binomial(half - 1, (n_at - 1) // 2)
+    # fixed arrangements need every cycle monochrome, so d must divide
+    # g = gcd(n, n_at).  The identity (d = 1) always does.
+    fixed = comb(n, n_at)
+    g = gcd(n, n_at)
+    for d in range(2, g + 1):
+        if g % d == 0:
+            fixed += totient(d) * comb(n // d, n_at // d)
+    # Each axis pairs the positions off it.  For odd n it passes through
+    # one bead, whose color the parity of n_at forces.  For even n, half
+    # the axes pass through two beads and half through none; for even n_at
+    # Pascal's rule makes their counts equal, and for odd n_at only the
+    # former, with two beads of different colors, fix any.
+    p = n // 2 if n % 2 == 0 and n_at % 2 == 0 else (n - 1) // 2
+    fixed += n * comb(p, n_at // 2)
     orbits, remainder = divmod(fixed, 2 * n)
     if remainder:
         raise IntegralityError(

@@ -1,26 +1,12 @@
-"""Arbitrary-precision combinatorial primitives.
+"""Euler's totient, the one number-theoretic primitive the counts need.
 
-Counts are plain Python ints, so they never overflow: the toolkit
-routinely produces values around 10^25 and is exercised up to chain
-lengths of several thousand base pairs.
+Counts are plain Python ints, so they never overflow.  The tests check
+totals exactly against an independent Burnside sum over bead positions up
+to chains of 3 000 base pairs, and the command line prints counts of more
+than 4 300 digits exactly (chains of 15 000 and 52 500 base pairs).
 """
 
 from __future__ import annotations
-
-import math
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with the convention C(n, k) = 0 for k < 0, k > n, or n < 0.
-
-    The zero convention is load-bearing: `bracelet_count_direct` relies on
-    out-of-range binomials vanishing to encode impossible bead assignments
-    (e.g. two AT beads on a mirror axis when n_at = 0), so this is a total
-    function rather than one that raises.
-    """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def totient(n: int) -> int:
@@ -44,19 +30,3 @@ def totient(n: int) -> int:
         result -= result // m
     return result
 
-
-def divisors(n: int) -> list[int]:
-    """All divisors of n in increasing order, including 1 and n."""
-    if n <= 0:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dna_necklace.counting import IntegralityError
-from dna_necklace.numtheory import divisors, totient
+from dna_necklace.numtheory import totient
 
 from .series import product_weight_coeff
 
@@ -58,6 +58,23 @@ def _render_vars(name: str, mono: Monomial) -> list[str]:
 def _render_term(term: CycleTerm) -> str:
     parts = _render_vars("x", term.x_cycles) + _render_vars("y", term.y_cycles)
     return "·".join([str(term.coeff)] + parts) if parts else str(term.coeff)
+
+
+def divisors(n: int) -> list[int]:
+    """All divisors of n in increasing order, including 1 and n."""
+    if n <= 0:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    large.reverse()
+    return small + large
 
 
 def _monomial(exponents: dict[int, int]) -> Monomial:

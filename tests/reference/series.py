@@ -17,9 +17,19 @@ tests compare those counts against.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
-from dna_necklace.numtheory import binomial
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k), with the convention C(n, k) = 0 for k < 0, k > n, or n < 0.
+
+    A total function rather than one that raises, so the reference route
+    can read impossible assignments as zero counts.
+    """
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 class SeriesFactor(NamedTuple):

@@ -21,7 +21,6 @@ from dna_necklace.counting import (
     count_necklaces,
 )
 from dna_necklace.montecarlo import MCConfig, convergence_study, empirical_pdf, sample_chains
-from dna_necklace.numtheory import binomial
 from dna_necklace.oracle import canonical_form, count_alternations, enumerate_all
 from dna_necklace.stats import (
     fit_gaussian,
@@ -30,7 +29,7 @@ from dna_necklace.stats import (
     theoretical_pdf,
 )
 from reference.cycle_index import dihedral_bipartite_index
-from reference.series import weight_coeff
+from reference.series import binomial, weight_coeff
 
 
 @contextmanager

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dna_necklace import cli
-from dna_necklace.counting import IntegralityError, NecklaceSpec, bracelet_count_direct
+from dna_necklace.counting import (
+    IntegralityError,
+    NecklaceSpec,
+    alternation_distribution,
+    bracelet_count_direct,
+    count_necklaces,
+)
 from dna_necklace.oracle import MAX_ENUMERATION_BITS
 
 
@@ -25,6 +31,17 @@ def run_cli(capsys, *args):
 def parse_csv(text):
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     return list(csv.DictReader(rows))
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run the block under another `str`/`int` digit limit (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestCount:
@@ -49,6 +66,18 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--alpha", "0", "--at", "0", "--gc", "0")
         assert code == 2
         assert "empty necklace" in err
+
+    def test_count_past_digit_limit(self, capsys):
+        # 4 507 digits: past the default limit of 4 300 on `str(int)`.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out.strip()) > limit
+        with int_digit_limit(0):
+            assert int(out) == count_necklaces(NecklaceSpec(7500, 7500), 7500)
 
 
 class TestPdf:
@@ -83,6 +112,43 @@ class TestPdf:
     def test_quiet_json_drops_parameters(self, capsys):
         _, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "2", "--gc", "2", "--format", "json")
         assert "parameters" not in json.loads(out)
+
+    def test_counts_past_digit_limit(self, capsys):
+        # The peak count of (2500, 50000) has 4 357 digits.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "--quiet", "pdf", "--at", "2500", "--gc", "50000")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        long_rows = [row for row in parse_csv(out) if len(row["count"]) > limit]
+        assert long_rows
+        with int_digit_limit(0):
+            for row in long_rows:
+                count = count_necklaces(NecklaceSpec(2500, 50000), int(row["alpha"]))
+                assert int(row["count"]) == count, row["alpha"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pdf", "--format", "csv"],
+            ["--quiet", "pdf", "--format", "json"],
+            ["pdf", "--format", "json"],
+        ],
+    )
+    def test_counts_past_lowered_digit_limit(self, capsys, argv):
+        # The peak count of (1200, 1200) has 720 digits, past the lowest
+        # limit the interpreter accepts, 640.
+        with int_digit_limit(640):
+            code, out, err = run_cli(capsys, *argv, "--at", "1200", "--gc", "1200")
+            assert sys.get_int_max_str_digits() == 640
+        assert (code, err) == (0, "")
+        if "json" in argv:
+            rows = json.loads(out)["rows"]
+        else:
+            rows = parse_csv(out)
+        counts = [row["count"] for row in rows]
+        assert max(map(len, counts)) > 640
+        dist = alternation_distribution(NecklaceSpec(1200, 1200))
+        assert [int(count) for count in counts] == [dist[a] for a in sorted(dist)]
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "pdf.csv"
@@ -253,15 +319,24 @@ class TestFit:
         assert out == ""
         assert "finite and >= 0" in err
 
-    @pytest.mark.parametrize("alpha", ["3", "-2"])
-    def test_bad_alpha_rejected(self, capsys, tmp_path, alpha):
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("3", "must be even and >= 0"),
+            ("-2", "must be even and >= 0"),
+            # int() refuses more digits than the interpreter's limit.
+            ("2" * 5000, "too large for floating-point arithmetic\n"),
+        ],
+        ids=["3", "-2", "past-digit-limit"],
+    )
+    def test_bad_alpha_rejected(self, capsys, tmp_path, alpha, message):
         path = tmp_path / "bad.csv"
         rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
         path.write_text("\n".join(rows) + "\n")
         code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
         assert code == 2
         assert out == ""
-        assert "even and >= 0" in err
+        assert f"line 3, column alpha: {message}" in err
 
     def test_repeated_alpha_rejected(self, capsys, tmp_path):
         path = tmp_path / "dup.csv"

@@ -21,6 +21,12 @@ def total_count(spec):
     return sum(alternation_distribution(spec).values())
 
 
+def rig_comb(monkeypatch, n, k):
+    """Make the counting kernels read C(n, k) one higher than it is."""
+    real = counting.comb
+    monkeypatch.setattr(counting, "comb", lambda a, b: real(a, b) + ((a, b) == (n, k)))
+
+
 @st.composite
 def container_queries(draw, max_total=200):
     """(M, n_at, n_gc) with both colors present, N <= max_total, M in support."""
@@ -106,24 +112,16 @@ class TestClosedFormKernel:
         ]:
             assert total_count(spec) == bracelet_count_direct(spec), spec
 
-    @staticmethod
-    def _rig_comb(monkeypatch, n, k):
-        """Make the kernel read C(n, k) one higher than it is."""
-        real = counting.comb
-        monkeypatch.setattr(
-            counting, "comb", lambda a, b: real(a, b) + ((a, b) == (n, k))
-        )
-
     def test_non_divisible_total_raises(self, monkeypatch):
         # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
         # identity rotation's C(7, 4) * C(5, 4), which 2M = 10 does not
         # divide; gcd(5, 8, 6) = 1, so no other rotation contributes.
-        self._rig_comb(monkeypatch, 7, 4)
+        rig_comb(monkeypatch, 7, 4)
         with pytest.raises(IntegralityError, match="not divisible"):
             necklace_count(5, NecklaceSpec(8, 6))
 
     def test_non_divisible_total_maps_to_exit_three(self, monkeypatch, capsys):
-        self._rig_comb(monkeypatch, 7, 4)
+        rig_comb(monkeypatch, 7, 4)
         code = cli.main(["count", "--alpha", "10", "--at", "8", "--gc", "6"])
         captured = capsys.readouterr()
         assert code == 3
@@ -149,11 +147,22 @@ class TestClosedFormKernel:
 
     @pytest.mark.parametrize(
         "m, n_at, n_gc",
-        [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)],
+        [
+            (60, 120, 240),
+            (72, 144, 216),
+            (120, 240, 360),
+            (360, 720, 720),
+            (24, 100, 90),
+            (24, 101, 90),
+            (24, 100, 91),
+            (24, 101, 91),
+        ],
     )
     def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
-        # gcd(M, n_at, n_gc) = M, with 12 to 24 divisors, each of whose
-        # rotations fixes some assignments.
+        # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24
+        # divisors, each of whose rotations fixes some assignments.  The
+        # last four take the even-M reflection term through each parity
+        # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
         assert necklace_count(m, NecklaceSpec(n_at, n_gc)) == count_orbits(
             dihedral_bipartite_index(m), n_at, n_gc
         )
@@ -260,19 +269,15 @@ class TestTotals:
 
     def test_direct_burnside_remainder_raises(self, monkeypatch):
         # C(14, 8) read one higher leaves 3529 fixed points over 2N = 28.
-        real = counting.binomial
-        monkeypatch.setattr(
-            counting, "binomial", lambda n, k: real(n, k) + ((n, k) == (14, 8))
-        )
+        rig_comb(monkeypatch, 14, 8)
         with pytest.raises(IntegralityError, match="3529 not divisible"):
             bracelet_count_direct(NecklaceSpec(8, 6))
 
     def test_two_independent_derivations_agree(self):
-        specs = [
-            NecklaceSpec(a, b)
-            for n in range(1, 41)
-            for a, b in [(n // 2, n - n // 2), (n // 3, n - n // 3), (0, n)]
-        ]
-        specs += [NecklaceSpec(60, 60), NecklaceSpec(77, 23), NecklaceSpec(99, 101)]
+        # Every content up to N = 120, one color absent included, and
+        # contents whose gcd(N, n_at) has many divisors.
+        specs = [NecklaceSpec(a, n - a) for n in range(1, 121) for a in range(n + 1)]
+        specs += [NecklaceSpec(99, 101), NecklaceSpec(720, 360)]
+        specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
         for spec in specs:
             assert total_count(spec) == bracelet_count_direct(spec), spec

@@ -4,7 +4,8 @@
 return; `<name>.out` holds the exact stdout it must write.  The corpus
 covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
-rejected invocations.  The cases run in process through `cli.main`.
+rejected invocations and one count past the interpreter's 4 300-digit
+`str(int)` limit.  The cases run in process through `cli.main`.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:

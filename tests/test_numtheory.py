@@ -1,8 +1,13 @@
+"""`totient`, and the `binomial` and `divisors` helpers of the reference
+route in `tests/reference/`, which the package no longer ships."""
+
 import math
 
 import pytest
 
-from dna_necklace.numtheory import binomial, divisors, totient
+from dna_necklace.numtheory import totient
+from reference.cycle_index import divisors
+from reference.series import binomial
 
 
 def totient_by_scan(n):

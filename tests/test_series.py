@@ -1,8 +1,8 @@
 import pytest
 
-from dna_necklace.numtheory import binomial
 from reference.series import (
     SeriesFactor,
+    binomial,
     binary_weight_coeff,
     product_weight_coeff,
     weight_coeff,
