@@ -16,7 +16,6 @@ from .counting import (
     bracelet_count_direct,
     count_necklaces,
     necklace_count,
-    zero_alternation_count,
 )
 from .montecarlo import (
     MCConfig,
@@ -74,5 +73,4 @@ __all__ = [
     "theoretical_pdf",
     "total_abs_diff",
     "totient",
-    "zero_alternation_count",
 ]

@@ -22,6 +22,7 @@ import sys
 from .counting import (
     IntegralityError,
     NecklaceSpec,
+    _digits,
     alternation_distribution,
     count_necklaces,
 )
@@ -37,21 +38,6 @@ from .stats import (
 
 USAGE_ERROR = 2
 INTEGRALITY_ERROR = 3
-
-
-def _digits(count: int) -> str:
-    """The exact decimal digits of a count, however many there are.
-
-    `str` refuses ints past the interpreter's digit limit
-    (`sys.get_int_max_str_digits()`, 4 300 by default); `decimal` converts
-    them exactly without changing that limit, and is loaded only then.
-    """
-    try:
-        return str(count)
-    except ValueError:
-        import decimal
-
-        return str(decimal.Decimal(count))
 
 
 def _fmt(value) -> str:

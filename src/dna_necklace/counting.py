@@ -33,6 +33,28 @@ class IntegralityError(ArithmeticError):
     """
 
 
+def _digits(count: int) -> str:
+    """The exact decimal digits of a count, however many there are.
+
+    `str` refuses ints past the interpreter's digit limit
+    (`sys.get_int_max_str_digits()`, 4 300 by default); `decimal` converts
+    them exactly without changing that limit, and is loaded only then.
+    """
+    try:
+        return str(count)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(count))
+
+
+def _not_divisible(fixed: int, order: int) -> IntegralityError:
+    """IntegralityError for a Burnside total the group order does not divide."""
+    return IntegralityError(
+        f"Burnside total {_digits(fixed)} not divisible by group order {order}"
+    )
+
+
 # The package's records are namedtuple subclasses, not dataclasses:
 # `dataclasses` loads `inspect`, `ast` and `dis` and execs generated
 # methods, which made every command start noticeably slower.  The class
@@ -69,6 +91,8 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     """Distinct necklaces with exactly 2M alternations and the given content.
 
     Zero whenever M exceeds min(n_at, n_gc): some container would be empty.
+    M = 0 is the homogeneous necklace: 1 when exactly one color is present,
+    else 0.  A negative M raises ValueError.
 
     Burnside's lemma over the 2M rotations and reflections of the
     containers, each fixed-point count in closed form (a container holds
@@ -99,11 +123,13 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     math.comb already gives 0 for k > n.  The fixed-point total must
     divide by the group order 2M; a remainder raises IntegralityError.
     """
-    if m <= 0:
-        raise ValueError(f"container count must be >= 1, got M={m}")
     n_at, n_gc = spec
     if m > n_at or m > n_gc:
         return 0
+    if m <= 0:
+        if m:
+            raise ValueError(f"container count must be >= 0, got M={m}")
+        return 1 if (n_at == 0) != (n_gc == 0) else 0
     fixed = comb(n_at - 1, m - 1) * comb(n_gc - 1, m - 1)
     g = gcd(m, n_at, n_gc)
     if g > 1:
@@ -127,15 +153,8 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
         fixed += m * comb(n_at >> 1, k) * comb((n_gc >> 1) - 1, k - 1)
     order = 2 * m
     if fixed % order:
-        raise IntegralityError(
-            f"Burnside total {fixed} not divisible by group order {order}"
-        )
+        raise _not_divisible(fixed, order)
     return fixed // order
-
-
-def zero_alternation_count(spec: NecklaceSpec) -> int:
-    """Necklaces with no alternations: exactly the homogeneous ones."""
-    return 1 if (spec.n_at == 0) != (spec.n_gc == 0) else 0
 
 
 def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
@@ -144,13 +163,11 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
     Walking the cycle returns to its start, so alternations always come in
     pairs; an odd alpha is a caller error, not a zero.
     """
-    if alpha > 0 and not alpha & 1:
+    if alpha >= 0 and not alpha & 1:
         return necklace_count(alpha >> 1, spec)
     if alpha < 0:
         raise ValueError(f"alternation count must be >= 0, got {alpha}")
-    if alpha % 2 != 0:
-        raise ValueError(f"alternation count must be even, got {alpha}")
-    return zero_alternation_count(spec)
+    raise ValueError(f"alternation count must be even, got {alpha}")
 
 
 def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
@@ -159,10 +176,7 @@ def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
     Entries may be zero (alpha = 0 is zero whenever both colors are
     present).  Keys are exactly the even integers in range.
     """
-    dist = {0: zero_alternation_count(spec)}
-    for m in range(1, min(spec.n_at, spec.n_gc) + 1):
-        dist[2 * m] = necklace_count(m, spec)
-    return dist
+    return {2 * m: necklace_count(m, spec) for m in range(min(spec) + 1)}
 
 
 def bracelet_count_direct(spec: NecklaceSpec) -> int:
@@ -190,9 +204,7 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
     # former, with two beads of different colors, fix any.
     p = n // 2 if n % 2 == 0 and n_at % 2 == 0 else (n - 1) // 2
     fixed += n * comb(p, n_at // 2)
-    orbits, remainder = divmod(fixed, 2 * n)
-    if remainder:
-        raise IntegralityError(
-            f"Burnside total {fixed} not divisible by group order {2 * n}"
-        )
-    return orbits
+    order = 2 * n
+    if fixed % order:
+        raise _not_divisible(fixed, order)
+    return fixed // order

@@ -48,20 +48,19 @@ def canonical_form(s: str) -> str:
 def enumerate_all(n: int) -> dict[tuple[int, int], int]:
     """Exact necklace counts per (whites, alternations) bucket at length n.
 
-    Walks all 2^n strings, keeps one representative per canonical form,
-    and tallies the distinct forms.
+    Walks all 2^n strings and tallies those that are their own canonical
+    form.  Fixed-width 0/1 strings order the same numerically and
+    lexicographically, so each class is met first at its minimum.
     """
     if not 1 <= n <= MAX_ENUMERATION_BITS:
         raise ValueError(
             f"enumeration supports 1 <= n <= {MAX_ENUMERATION_BITS}, got {n}"
         )
-    seen: set[str] = set()
     buckets: dict[tuple[int, int], int] = {}
     for value in range(2**n):
-        form = canonical_form(format(value, f"0{n}b"))
-        if form in seen:
+        s = format(value, f"0{n}b")
+        if canonical_form(s) != s:
             continue
-        seen.add(form)
-        key = (form.count("1"), count_alternations(form))
+        key = (s.count("1"), count_alternations(s))
         buckets[key] = buckets.get(key, 0) + 1
     return buckets

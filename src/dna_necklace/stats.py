@@ -204,7 +204,7 @@ def sweep_fixed_ratio(
     """Gaussian characteristics as N grows at a fixed gc:at ratio.
 
     The slope is an ordinary least-squares fit of alpha0 against N over
-    the successful rows (None if fewer than two succeed).
+    the successful rows (None unless they hold at least two distinct N).
     """
     import numpy as np
 
@@ -215,7 +215,7 @@ def sweep_fixed_ratio(
         spec = NecklaceSpec(*split_by_ratio(ratio_gc_to_at, n))
         rows.append(RatioRow(n, *spec, *_fit_or_error(spec)))
     fitted = [(row.n, row.fit.alpha0) for row in rows if row.fit is not None]
-    if len(fitted) >= 2:
+    if len({n for n, _ in fitted}) >= 2:
         slope, intercept = np.polyfit(
             [n for n, _ in fitted], [a for _, a in fitted], 1
         )

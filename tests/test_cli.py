@@ -425,6 +425,18 @@ class TestSweep:
         assert len(slopes) == 1
         assert abs(float(slopes.pop()) - 0.5) < 0.02
 
+    def test_fixed_ratio_one_repeated_length_has_no_slope(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--quiet", "sweep", "--mode", "fixed-ratio",
+            "--ratio", "6:1", "--n-values", "84,84",
+        )
+        assert code == 0
+        assert err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(r["slope"] == r["intercept"] == "" for r in rows)
+        assert all(r["error"] == "" for r in rows)
+
     def test_missing_mode_arguments_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--mode", "fixed-at")
         assert code == 2

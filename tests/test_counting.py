@@ -10,7 +10,6 @@ from dna_necklace.counting import (
     bracelet_count_direct,
     count_necklaces,
     necklace_count,
-    zero_alternation_count,
 )
 from dna_necklace.oracle import enumerate_all
 from reference.cycle_index import count_orbits, dihedral_bipartite_index
@@ -62,9 +61,11 @@ class TestNecklaceCount:
         assert necklace_count(2, NecklaceSpec(4, 4)) == 4
         assert enumerate_all(8)[(4, 4)] == 4
 
-    def test_rejects_nonpositive_m(self):
+    def test_rejects_negative_m(self):
+        with pytest.raises(ValueError, match="must be >= 0, got M=-1"):
+            necklace_count(-1, NecklaceSpec(2, 2))
         with pytest.raises(ValueError):
-            necklace_count(0, NecklaceSpec(2, 2))
+            necklace_count(-1, NecklaceSpec(0, 3))
 
     def test_color_symmetry(self):
         for a, b, m in [(8, 6, 5), (9, 4, 3), (12, 7, 6), (5, 5, 2)]:
@@ -167,6 +168,22 @@ class TestClosedFormKernel:
             dihedral_bipartite_index(m), n_at, n_gc
         )
 
+    def test_non_divisible_total_past_digit_limit_maps_to_exit_three(
+        self, monkeypatch, capsys
+    ):
+        # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
+        # total in the message does too; reading C(7499, 3749) one higher
+        # adds an odd number of fixed points over 2M = 7500.
+        rig_comb(monkeypatch, 7499, 3749)
+        code = cli.main(
+            ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "integrality failure" in captured.err
+        assert "Exceeds the limit" not in captured.err
+
     def test_non_divisible_rotation_sum_maps_to_exit_three(
         self, monkeypatch, capsys
     ):
@@ -223,11 +240,20 @@ class TestCountNecklaces:
 
 class TestZeroAlternationCount:
     def test_homogeneous_chains(self):
-        assert zero_alternation_count(NecklaceSpec(0, 7)) == 1
-        assert zero_alternation_count(NecklaceSpec(5, 0)) == 1
+        assert necklace_count(0, NecklaceSpec(0, 7)) == 1
+        assert necklace_count(0, NecklaceSpec(5, 0)) == 1
 
     def test_mixed_content_forces_alternations(self):
-        assert zero_alternation_count(NecklaceSpec(3, 4)) == 0
+        assert necklace_count(0, NecklaceSpec(3, 4)) == 0
+
+    def test_matches_enumeration_for_every_content(self):
+        for n in range(1, 15):
+            buckets = enumerate_all(n)
+            for n_at in range(n + 1):
+                spec = NecklaceSpec(n_at, n - n_at)
+                expected = buckets.get((n_at, 0), 0)
+                assert necklace_count(0, spec) == expected, spec
+                assert count_necklaces(spec, 0) == expected, spec
 
 
 class TestAlternationDistribution:
@@ -272,6 +298,13 @@ class TestTotals:
         rig_comb(monkeypatch, 14, 8)
         with pytest.raises(IntegralityError, match="3529 not divisible"):
             bracelet_count_direct(NecklaceSpec(8, 6))
+
+    def test_direct_burnside_remainder_past_digit_limit_raises(self, monkeypatch):
+        # C(15000, 7500) has over 4 300 digits; read one higher, it leaves
+        # a remainder of 1 over 2N = 30000.
+        rig_comb(monkeypatch, 15000, 7500)
+        with pytest.raises(IntegralityError, match="not divisible by group order 30000"):
+            bracelet_count_direct(NecklaceSpec(7500, 7500))
 
     def test_two_independent_derivations_agree(self):
         # Every content up to N = 120, one color absent included, and

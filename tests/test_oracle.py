@@ -91,6 +91,17 @@ class TestEnumerateAll:
                 )
                 assert total == bracelet_count_direct(NecklaceSpec(n_at, n - n_at))
 
+    def test_tallies_each_distinct_form_once_in_first_seen_order(self):
+        for n in range(1, 11):
+            forms = dict.fromkeys(
+                canonical_form(format(value, f"0{n}b")) for value in range(2**n)
+            )
+            expected = {}
+            for form in forms:
+                key = (form.count("1"), count_alternations(form))
+                expected[key] = expected.get(key, 0) + 1
+            assert list(enumerate_all(n).items()) == list(expected.items()), n
+
     def test_rejects_out_of_range_lengths(self):
         with pytest.raises(ValueError):
             enumerate_all(0)

@@ -30,7 +30,6 @@ PUBLIC = [
     "theoretical_pdf",
     "total_abs_diff",
     "totient",
-    "zero_alternation_count",
 ]
 
 

@@ -171,6 +171,17 @@ class TestSweepFixedRatio:
         assert result.rows[0].error is not None
         assert result.slope is None
 
+    def test_slope_absent_when_fitted_rows_share_one_length(self):
+        result = sweep_fixed_ratio((6, 1), [84, 84])
+        assert all(row.fit is not None for row in result.rows)
+        assert result.slope is None
+        assert result.intercept is None
+
+    def test_repeated_length_still_fits_with_a_second_length(self):
+        result = sweep_fixed_ratio((6, 1), [84, 84, 168])
+        assert result.slope is not None
+        assert result.intercept is not None
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sweep_fixed_ratio((1, 1), [])
