@@ -145,18 +145,29 @@ def cmd_mc(args) -> str:
 def _read_pdf_file(path: str) -> DiscretePdf:
     """Load a pdf from CSV having alpha and probability columns.
 
+    The file must be UTF-8 and no row may have more cells than the header.
     Alternation counts must be even, >= 0, within float range and listed
     once, probabilities finite and >= 0; anything else is rejected rather
     than silently dropped or overwritten.  A rejection names the file and
     the line, and the column when one cell is at fault.
     """
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first.
-    with open(path, encoding="utf-8-sig") as handle:
-        numbered = [
-            (number, line)
-            for number, line in enumerate(handle, 1)
-            if not line.startswith("#")
-        ]
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first.
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len(re.split(rb"\r\n?|\n", data[: exc.start]))
+        raise ValueError(
+            f"{path}, line {line}: not UTF-8 text "
+            f"(byte 0x{data[exc.start]:02x}: {exc.reason})"
+        ) from None
+    # newline=None reads \r\n and \r line ends as \n, as text files do.
+    numbered = [
+        (number, line)
+        for number, line in enumerate(io.StringIO(text, newline=None), 1)
+        if not line.startswith("#")
+    ]
     reader = csv.DictReader(line for _, line in numbered)
 
     def line() -> int:
@@ -172,6 +183,8 @@ def _read_pdf_file(path: str) -> DiscretePdf:
                 )
         for record in reader:
             where = f"{path}, line {line()}"
+            if None in record:  # DictReader files extra cells under None
+                raise ValueError(f"{where}: more cells than the header has columns")
             alpha = _cell(record, "alpha", int, "an integer", where)
             probability = _cell(record, "probability", float, "a number", where)
             if alpha < 0 or alpha % 2 != 0:
@@ -262,7 +275,7 @@ def cmd_sweep(args) -> str:
             raise ValueError("fixed-at sweep takes no --ratio or --n-values")
         gc_values = _parse_int_list(args.gc_values, "--gc-values")
         sweep_rows = sweep_fixed_at(args.at, gc_values)
-        shared = {}
+        columns, shared = ("n_gc",), {}
     else:
         if args.ratio is None or not args.n_values:
             raise ValueError("fixed-ratio sweep needs --ratio and --n-values")
@@ -272,16 +285,16 @@ def cmd_sweep(args) -> str:
         n_values = _parse_int_list(args.n_values, "--n-values")
         result = sweep_fixed_ratio(ratio, n_values)
         sweep_rows = result.rows
+        columns = ("n", "n_at", "n_gc")
         shared = {"slope": result.slope, "intercept": result.intercept}
     rows = []
     for row in sweep_rows:
         # The content columns, then the fit's cells (empty on a failed row).
-        cells = row._asdict()
-        fit, error = cells.pop("fit"), cells.pop("error")
-        cells["alpha0"] = fit.alpha0 if fit else None
-        cells["sigma"] = fit.sigma if fit else None
-        cells["max_pg"] = fit.amplitude if fit else None
-        cells["error"] = error
+        cells = {column: getattr(row, column) for column in columns}
+        cells["alpha0"] = row.fit.alpha0 if row.fit else None
+        cells["sigma"] = row.fit.sigma if row.fit else None
+        cells["max_pg"] = row.fit.amplitude if row.fit else None
+        cells["error"] = row.error
         rows.append({**cells, **shared})
     return _render(args, rows)
 

@@ -68,14 +68,15 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     points.
 
     A fit whose width falls below a floor or exceeds the span of the
-    fitted support (a flat pdf has no peak to fit), or whose start moments
+    fitted support (a flat pdf has no peak to fit), whose start moments
     or fitted fields are not finite (values too large for float64
-    arithmetic), is rejected with ValueError; RuntimeError means the
-    least-squares search gave up.
+    arithmetic), or whose largest probability is subnormal (too small for
+    it), is rejected with ValueError; RuntimeError means the least-squares
+    search gave up.
     """
     import numpy as np
 
-    from ._lmdif import FAILURES, lmdif
+    from ._lmdif import DWARF, FAILURES, lmdif
 
     points = sorted((a, p) for a, p in pdf.entries.items() if p > 0)
     if len(points) < 3:
@@ -84,6 +85,15 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
         )
     x = np.array([a for a, _ in points], dtype=float)
     y = np.array([p for _, p in points], dtype=float)
+    peak = float(y.max())
+    if peak < DWARF:
+        # Below MINPACK's smallest normal float, lmdif can hand back the
+        # start moments unchanged as though they were a fit (a peak of
+        # 2e-320 does), so no fit there is trusted.
+        raise ValueError(
+            f"largest probability subnormal (peak = {peak!r}): the pdf values "
+            "are too small for floating-point arithmetic"
+        )
 
     def gaussian(amplitude, alpha0, sigma):
         return amplitude * np.exp(-((x - alpha0) ** 2) / (2.0 * sigma**2))
@@ -95,7 +105,7 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
         sigma0 = float(np.sqrt((y * (x - mean0) ** 2).sum() / y.sum()))
         _require_finite("start moments", mean=mean0, sigma=sigma0)
         sigma0 = max(sigma0, _SIGMA_FLOOR)
-        start = (float(y.max()), mean0, sigma0)
+        start = (peak, mean0, sigma0)
         params, info = lmdif(lambda p: (gaussian(*p) - y).tolist(), start)
         if info in FAILURES:
             raise RuntimeError("Optimal parameters not found: " + FAILURES[info])
@@ -126,18 +136,20 @@ def _require_finite(what: str, **values: float) -> None:
         )
 
 
-class FixedAtRow(
-    namedtuple("FixedAtRow", "n_gc fit error", defaults=(None, None))
+class SweepRow(
+    namedtuple("SweepRow", "n n_at n_gc fit error", defaults=(None, None))
 ):
     """One sweep row; `fit` is None when the row failed, with the reason."""
 
     __slots__ = ()
+    n: int
+    n_at: int
     n_gc: int
     fit: GaussianFit | None
     error: str | None
 
 
-def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
+def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[SweepRow]:
     """Gaussian characteristics as n_gc grows at fixed n_at.
 
     Row failures (e.g. supports too small to fit) are recorded on the row
@@ -148,27 +160,19 @@ def sweep_fixed_at(n_at: int, gc_values: Sequence[int]) -> list[FixedAtRow]:
         raise ValueError(f"n_at must be >= 1, got {n_at}")
     if not gc_values:
         raise ValueError("gc_values must be non-empty")
-    specs = [NecklaceSpec(n_at, n_gc) for n_gc in gc_values]
-    return [FixedAtRow(spec.n_gc, *_fit_or_error(spec)) for spec in specs]
+    return _sweep([NecklaceSpec(n_at, n_gc) for n_gc in gc_values])
 
 
-def _fit_or_error(spec: NecklaceSpec) -> tuple[GaussianFit | None, str | None]:
-    """(fit, None) for this content's pdf, or (None, reason) if it fails."""
-    try:
-        return fit_gaussian(theoretical_pdf(spec)), None
-    except (ValueError, RuntimeError) as exc:
-        return None, str(exc)
-
-
-class RatioRow(
-    namedtuple("RatioRow", "n n_at n_gc fit error", defaults=(None, None))
-):
-    __slots__ = ()
-    n: int
-    n_at: int
-    n_gc: int
-    fit: GaussianFit | None
-    error: str | None
+def _sweep(specs: list[NecklaceSpec]) -> list[SweepRow]:
+    """One row per content: its pdf's fit, or the reason the fit failed."""
+    rows = []
+    for spec in specs:
+        try:
+            fit, error = fit_gaussian(theoretical_pdf(spec)), None
+        except (ValueError, RuntimeError) as exc:
+            fit, error = None, str(exc)
+        rows.append(SweepRow(spec.total, *spec, fit, error))
+    return rows
 
 
 class RatioSweepResult(
@@ -177,7 +181,7 @@ class RatioSweepResult(
     """Per-N fits at a fixed gc:at ratio plus the slope of alpha0 against N."""
 
     __slots__ = ()
-    rows: list[RatioRow]
+    rows: list[SweepRow]
     slope: float | None
     intercept: float | None
 
@@ -210,10 +214,9 @@ def sweep_fixed_ratio(
 
     if not n_values:
         raise ValueError("n_values must be non-empty")
-    rows = []
-    for n in n_values:
-        spec = NecklaceSpec(*split_by_ratio(ratio_gc_to_at, n))
-        rows.append(RatioRow(n, *spec, *_fit_or_error(spec)))
+    rows = _sweep(
+        [NecklaceSpec(*split_by_ratio(ratio_gc_to_at, n)) for n in n_values]
+    )
     fitted = [(row.n, row.fit.alpha0) for row in rows if row.fit is not None]
     if len({n for n, _ in fitted}) >= 2:
         slope, intercept = np.polyfit(

@@ -364,6 +364,7 @@ class TestFit:
             ),
             # The csv module refuses cells over its field size limit.
             (["0," + "1" * 200_000], "line 3: field larger than field limit"),
+            (["0,0.2", "4,0.1,7"], "line 4: more cells than the header has columns"),
         ],
     )
     def test_rejected_row_names_file_line_and_column(
@@ -377,6 +378,35 @@ class TestFit:
         assert out == ""
         assert err.startswith(f"error: {path}, {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xffalpha,probability\n0,0.2\n", 1),
+            # \r\n and a lone \r each end a line.
+            (b"alpha,probability\r\n0,0.2\r2,\xff\n", 3),
+        ],
+        ids=["header", "row"],
+    )
+    def test_non_utf8_file_names_file_and_line(self, capsys, tmp_path, data, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}, line {line}: not UTF-8 text (byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_subnormal_pdf_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("alpha,probability\n0,1e-320\n2,2e-320\n4,1e-320\n")
+        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: largest probability subnormal (peak = 2e-320): the pdf values "
+            "are too small for floating-point arithmetic\n"
+        )
 
     def test_header_without_a_column_is_named(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

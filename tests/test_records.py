@@ -2,7 +2,7 @@
 
 `NecklaceSpec` and `MCConfig` check their arguments on every route that
 builds an instance: positional and keyword calls, `_make`, `_replace` and
-unpickling.  Every record prints as before and refuses field assignment.
+unpickling.  Every record has a pinned repr and refuses field assignment.
 """
 
 import pickle
@@ -13,10 +13,9 @@ from dna_necklace.counting import NecklaceSpec
 from dna_necklace.montecarlo import ConvergenceRow, MCConfig
 from dna_necklace.stats import (
     DiscretePdf,
-    FixedAtRow,
     GaussianFit,
-    RatioRow,
     RatioSweepResult,
+    SweepRow,
     sweep_fixed_at,
     sweep_fixed_ratio,
 )
@@ -25,7 +24,8 @@ SPEC = NecklaceSpec(3, 5)
 FIT = GaussianFit(alpha0=50.5, sigma=5.0, amplitude=0.16, rmse=4.5e-05)
 FIT_REPR = "GaussianFit(alpha0=50.5, sigma=5.0, amplitude=0.16, rmse=4.5e-05)"
 
-# Each record next to the repr the earlier dataclass printed for it.
+# Each record next to its repr; the older records print as the earlier
+# dataclasses did.
 RECORDS = [
     (SPEC, "NecklaceSpec(n_at=3, n_gc=5)"),
     (
@@ -38,17 +38,20 @@ RECORDS = [
     ),
     (FIT, FIT_REPR),
     (
-        FixedAtRow(3, error="support too small"),
-        "FixedAtRow(n_gc=3, fit=None, error='support too small')",
-    ),
-    (FixedAtRow(5, FIT), f"FixedAtRow(n_gc=5, fit={FIT_REPR}, error=None)"),
-    (
-        RatioRow(8, 4, 4, FIT),
-        f"RatioRow(n=8, n_at=4, n_gc=4, fit={FIT_REPR}, error=None)",
+        SweepRow(6, 3, 3, error="support too small"),
+        "SweepRow(n=6, n_at=3, n_gc=3, fit=None, error='support too small')",
     ),
     (
-        RatioSweepResult([RatioRow(8, 4, 4, error="x")]),
-        "RatioSweepResult(rows=[RatioRow(n=8, n_at=4, n_gc=4, fit=None, "
+        SweepRow(8, 3, 5, FIT),
+        f"SweepRow(n=8, n_at=3, n_gc=5, fit={FIT_REPR}, error=None)",
+    ),
+    (
+        SweepRow(84, 12, 72, FIT),
+        f"SweepRow(n=84, n_at=12, n_gc=72, fit={FIT_REPR}, error=None)",
+    ),
+    (
+        RatioSweepResult([SweepRow(8, 4, 4, error="x")]),
+        "RatioSweepResult(rows=[SweepRow(n=8, n_at=4, n_gc=4, fit=None, "
         "error='x')], slope=None, intercept=None)",
     ),
     (
@@ -132,8 +135,7 @@ def test_equal_specs_are_equal_and_hash_alike():
 def test_defaults_fill_the_trailing_fields():
     assert MCConfig(SPEC, 10, 1).sets == 5
     assert DiscretePdf({}).provenance == "theoretical"
-    assert FixedAtRow(3) == (3, None, None)
-    assert RatioRow(8, 4, 4) == (8, 4, 4, None, None)
+    assert SweepRow(8, 4, 4) == (8, 4, 4, None, None)
     assert RatioSweepResult([]).slope is None
     assert ConvergenceRow(1, 0.0, 0.0).d_values == ()
 

@@ -3,9 +3,11 @@ import warnings
 
 import pytest
 
+from dna_necklace import stats
 from dna_necklace.counting import NecklaceSpec
 from dna_necklace.stats import (
     DiscretePdf,
+    SweepRow,
     fit_gaussian,
     split_by_ratio,
     sweep_fixed_at,
@@ -96,12 +98,51 @@ class TestFitGaussian:
                 fit_gaussian(theoretical_pdf(NecklaceSpec(3, 3)))
         assert caught == []
 
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310])
+    def test_rejects_subnormal_pdf(self, scale):
+        # At 1e-320 lmdif returned the start moments (sigma = sqrt 2) as a fit.
+        pdf = DiscretePdf({0: scale, 2: 2 * scale, 4: scale}, "file")
+        with pytest.raises(ValueError, match="subnormal .* too small for floating"):
+            fit_gaussian(pdf)
+
+    def test_smallest_normal_peak_still_fits(self):
+        fit = fit_gaussian(DiscretePdf({0: 1e-307, 2: 2e-307, 4: 1e-307}, "file"))
+        assert abs(fit.sigma - 1.69864360057603) < 1e-12
+
     def test_exact_three_point_fit_is_silent(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = fit_gaussian(DiscretePdf({2: 0.25, 4: 0.5, 6: 0.25}, "theoretical"))
         assert caught == []
         assert fit.sigma < 4
+
+
+class TestSweepRows:
+    def test_both_modes_return_sweep_rows_with_their_content(self):
+        fixed_at = sweep_fixed_at(12, [3, 12, 40])
+        fixed_ratio = sweep_fixed_ratio((6, 1), [84, 168]).rows
+        for row in fixed_at + fixed_ratio:
+            assert type(row) is SweepRow
+            assert row.n == row.n_at + row.n_gc
+        assert [(r.n_at, r.n_gc) for r in fixed_at] == [(12, 3), (12, 12), (12, 40)]
+        assert [(r.n, r.n_at, r.n_gc) for r in fixed_ratio] == [
+            (84, 12, 72),
+            (168, 24, 144),
+        ]
+
+    def test_bad_length_raises_before_any_fit(self, monkeypatch):
+        calls = []
+
+        def spy(pdf):
+            calls.append(pdf)
+            return fit_gaussian(pdf)
+
+        monkeypatch.setattr(stats, "fit_gaussian", spy)
+        with pytest.raises(ValueError, match="total length must be >= 1, got 0"):
+            sweep_fixed_ratio((6, 1), [84, 0])
+        assert calls == []
+        sweep_fixed_ratio((6, 1), [84])
+        assert len(calls) == 1  # the spy does see the fits that run
 
 
 class TestSweepFixedAt:
