@@ -15,7 +15,6 @@ from .counting import (
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
-    necklace_count,
 )
 from .montecarlo import (
     MCConfig,
@@ -27,7 +26,6 @@ from .montecarlo import (
     sample_chains,
     total_abs_diff,
 )
-from .numtheory import totient
 from .oracle import (
     MAX_ENUMERATION_BITS,
     canonical_form,
@@ -65,12 +63,10 @@ __all__ = [
     "empirical_pdf",
     "enumerate_all",
     "fit_gaussian",
-    "necklace_count",
     "sample_chains",
     "split_by_ratio",
     "sweep_fixed_at",
     "sweep_fixed_ratio",
     "theoretical_pdf",
     "total_abs_diff",
-    "totient",
 ]

@@ -8,18 +8,20 @@ arrangement equally likely); at the sizes studied the two weightings agree
 to well within sampling noise, but they are not identical measures.
 
 Production counts come from a closed-form integer Burnside sum over the
-dihedral group acting on the 2M containers (`necklace_count`).  The
+dihedral group acting on the 2M containers (`count_necklaces`).  The
 general route that substitutes the weight series into the bipartite cycle
 index gives the same numbers; it lives with the tests
-(``tests/reference``), which compare the two.
+(``tests/reference``), which compare the two.  Counts are plain Python
+ints, so they never overflow.  The tests check totals exactly against an
+independent Burnside sum over bead positions (`bracelet_count_direct`) up
+to chains of 3 000 base pairs, and the command line prints counts of more
+than 4 300 digits exactly (chains of 15 000 and 52 500 base pairs).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import comb, gcd
-
-from .numtheory import totient
 
 # Bound once, as namedtuple's own generated __new__ does.
 _tuple_new = tuple.__new__
@@ -55,6 +57,25 @@ def _not_divisible(fixed: int, order: int) -> IntegralityError:
     )
 
 
+def _totient(n: int) -> int:
+    """Euler's totient of n >= 1: the number of integers in [1, n] coprime to n.
+
+    Computed as n * prod(1 - 1/p) over the prime factors p of n, found by
+    trial division in O(sqrt(n)) steps.  Callers pass rotation classes d >= 2.
+    """
+    result = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        result -= result // n
+    return result
+
+
 # The package's records are namedtuple subclasses, not dataclasses:
 # `dataclasses` loads `inspect`, `ast` and `dis` and execs generated
 # methods, which made every command start noticeably slower.  The class
@@ -87,12 +108,14 @@ class NecklaceSpec(namedtuple("NecklaceSpec", "n_at n_gc")):
         return 2 * min(self.n_at, self.n_gc)
 
 
-def necklace_count(m: int, spec: NecklaceSpec) -> int:
-    """Distinct necklaces with exactly 2M alternations and the given content.
+def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
+    """Distinct necklaces with the given content and exactly `alpha` alternations.
 
-    Zero whenever M exceeds min(n_at, n_gc): some container would be empty.
-    M = 0 is the homogeneous necklace: 1 when exactly one color is present,
-    else 0.  A negative M raises ValueError.
+    Walking the cycle returns to its start, so alternations come in pairs
+    and a negative or odd alpha is a caller error, not a zero.  alpha = 2M
+    alternations bound M containers of each color; M > min(n_at, n_gc)
+    would leave one empty, so the count is 0.  M = 0 is the homogeneous
+    necklace: 1 when exactly one color is present, else 0.
 
     Burnside's lemma over the 2M rotations and reflections of the
     containers, each fixed-point count in closed form (a container holds
@@ -123,12 +146,15 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     math.comb already gives 0 for k > n.  The fixed-point total must
     divide by the group order 2M; a remainder raises IntegralityError.
     """
+    if alpha < 0:
+        raise ValueError(f"alternation count must be >= 0, got {alpha}")
+    if alpha & 1:
+        raise ValueError(f"alternation count must be even, got {alpha}")
+    m = alpha >> 1
     n_at, n_gc = spec
     if m > n_at or m > n_gc:
         return 0
-    if m <= 0:
-        if m:
-            raise ValueError(f"container count must be >= 0, got M={m}")
+    if not m:
         return 1 if (n_at == 0) != (n_gc == 0) else 0
     fixed = comb(n_at - 1, m - 1) * comb(n_gc - 1, m - 1)
     g = gcd(m, n_at, n_gc)
@@ -136,7 +162,7 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
         for d in range(2, g + 1):
             if g % d == 0:
                 fixed += (
-                    totient(d)
+                    _totient(d)
                     * comb(n_at // d - 1, m // d - 1)
                     * comb(n_gc // d - 1, m // d - 1)
                 )
@@ -157,26 +183,13 @@ def necklace_count(m: int, spec: NecklaceSpec) -> int:
     return fixed // order
 
 
-def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
-    """Distinct necklaces with exactly `alpha` alternations.
-
-    Walking the cycle returns to its start, so alternations always come in
-    pairs; an odd alpha is a caller error, not a zero.
-    """
-    if alpha >= 0 and not alpha & 1:
-        return necklace_count(alpha >> 1, spec)
-    if alpha < 0:
-        raise ValueError(f"alternation count must be >= 0, got {alpha}")
-    raise ValueError(f"alternation count must be even, got {alpha}")
-
-
 def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
     """Counts for every alpha in {0, 2, ..., 2*min(n_at, n_gc)}.
 
     Entries may be zero (alpha = 0 is zero whenever both colors are
     present).  Keys are exactly the even integers in range.
     """
-    return {2 * m: necklace_count(m, spec) for m in range(min(spec) + 1)}
+    return {a: count_necklaces(spec, a) for a in range(0, 2 * min(spec) + 1, 2)}
 
 
 def bracelet_count_direct(spec: NecklaceSpec) -> int:
@@ -196,7 +209,7 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
     g = gcd(n, n_at)
     for d in range(2, g + 1):
         if g % d == 0:
-            fixed += totient(d) * comb(n // d, n_at // d)
+            fixed += _totient(d) * comb(n // d, n_at // d)
     # Each axis pairs the positions off it.  For odd n it passes through
     # one bead, whose color the parity of n_at forces.  For even n, half
     # the axes pass through two beads and half through none; for even n_at

@@ -11,9 +11,10 @@ black-container cycles, with exact rational coefficients.
 Indices are materialized as explicit term lists so the counting
 substitution (replace x_d by f(x^d), y_d by f(y^d) and read off one
 coefficient) stays a generic, separately testable step.  Production
-counts do not take this route: `counting.necklace_count` evaluates the
+counts do not take this route: `counting.count_necklaces` evaluates the
 same Burnside sum in closed form with integers only.  This module is the
-independent reference the tests check that kernel against.
+independent reference the tests check that kernel against, so it shares
+no arithmetic with it: even Euler's phi is its own, from the definition.
 
 ``str(index)`` renders a human-readable polynomial for debugging, e.g.
 ``1/10·x1^5·y1^5 + 2/5·x5·y5 + 1/2·x1·y1·x2^2·y2^2``.  The format is for
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from dna_necklace.counting import IntegralityError
-from dna_necklace.numtheory import totient
 
 from .series import product_weight_coeff
 
@@ -75,6 +76,11 @@ def divisors(n: int) -> list[int]:
         d += 1
     large.reverse()
     return small + large
+
+
+def totient(d: int) -> int:
+    """Euler's phi by its definition: the j in 1..d with gcd(j, d) = 1."""
+    return sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
 
 
 def _monomial(exponents: dict[int, int]) -> Monomial:

@@ -9,7 +9,7 @@ f(x) = x + x^2 + x^3 + ... = x / (1 - x).  Its powers have the closed form
 which replaces naive series expansion with a single binomial.  Products of
 a few such powers are handled by convolving closed-form coefficients.
 
-Production counts do not call into this module: `counting.necklace_count`
+Production counts do not call into this module: `counting.count_necklaces`
 uses the closed forms of the four products the dihedral index yields.
 This generic extraction, with `cycle_index`, is the reference route the
 tests compare those counts against.

@@ -9,7 +9,6 @@ from dna_necklace.counting import (
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
-    necklace_count,
 )
 from dna_necklace.oracle import enumerate_all
 from reference.cycle_index import count_orbits, dihedral_bipartite_index
@@ -50,27 +49,21 @@ class TestNecklaceSpec:
 
 class TestNecklaceCount:
     def test_worked_example(self):
-        assert necklace_count(5, NecklaceSpec(8, 6)) == 19
+        assert count_necklaces(NecklaceSpec(8, 6), 10) == 19
 
     def test_single_block_of_each_color(self):
-        assert necklace_count(1, NecklaceSpec(2, 1)) == 1
+        assert count_necklaces(NecklaceSpec(2, 1), 2) == 1
 
     def test_value_frozen_from_enumeration(self):
         # enumerate_all(8) puts 4 necklaces in the (4 whites, 4 alternations)
         # bucket; the formula must agree.
-        assert necklace_count(2, NecklaceSpec(4, 4)) == 4
+        assert count_necklaces(NecklaceSpec(4, 4), 4) == 4
         assert enumerate_all(8)[(4, 4)] == 4
-
-    def test_rejects_negative_m(self):
-        with pytest.raises(ValueError, match="must be >= 0, got M=-1"):
-            necklace_count(-1, NecklaceSpec(2, 2))
-        with pytest.raises(ValueError):
-            necklace_count(-1, NecklaceSpec(0, 3))
 
     def test_color_symmetry(self):
         for a, b, m in [(8, 6, 5), (9, 4, 3), (12, 7, 6), (5, 5, 2)]:
-            assert necklace_count(m, NecklaceSpec(a, b)) == necklace_count(
-                m, NecklaceSpec(b, a)
+            assert count_necklaces(NecklaceSpec(a, b), 2 * m) == count_necklaces(
+                NecklaceSpec(b, a), 2 * m
             )
 
     def test_support_is_exactly_one_to_min(self):
@@ -78,7 +71,7 @@ class TestNecklaceCount:
             for b in range(1, 11):
                 spec = NecklaceSpec(a, b)
                 for m in range(1, 13):
-                    count = necklace_count(m, spec)
+                    count = count_necklaces(spec, 2 * m)
                     if m <= min(a, b):
                         assert count > 0, (a, b, m)
                     else:
@@ -91,7 +84,7 @@ class TestClosedFormKernel:
     @given(container_queries())
     def test_matches_cycle_index_route(self, query):
         m, n_at, n_gc = query
-        assert necklace_count(m, NecklaceSpec(n_at, n_gc)) == count_orbits(
+        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
             dihedral_bipartite_index(m), n_at, n_gc
         )
 
@@ -100,7 +93,7 @@ class TestClosedFormKernel:
             for n_at in range(1, n):
                 spec = NecklaceSpec(n_at, n - n_at)
                 for m in range(1, min(spec.n_at, spec.n_gc) + 1):
-                    assert necklace_count(m, spec) == count_orbits(
+                    assert count_necklaces(spec, 2 * m) == count_orbits(
                         dihedral_bipartite_index(m), spec.n_at, spec.n_gc
                     ), (m, spec)
 
@@ -119,7 +112,7 @@ class TestClosedFormKernel:
         # divide; gcd(5, 8, 6) = 1, so no other rotation contributes.
         rig_comb(monkeypatch, 7, 4)
         with pytest.raises(IntegralityError, match="not divisible"):
-            necklace_count(5, NecklaceSpec(8, 6))
+            count_necklaces(NecklaceSpec(8, 6), 10)
 
     def test_non_divisible_total_maps_to_exit_three(self, monkeypatch, capsys):
         rig_comb(monkeypatch, 7, 4)
@@ -133,18 +126,18 @@ class TestClosedFormKernel:
     def test_non_divisible_rotation_sum_raises(self, monkeypatch):
         # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
         # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
-        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 2 else 1)
+        monkeypatch.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1)
         with pytest.raises(IntegralityError, match="not divisible"):
-            necklace_count(2, NecklaceSpec(4, 6))
+            count_necklaces(NecklaceSpec(4, 6), 4)
 
     def test_misread_totient_past_two_raises(self, monkeypatch):
         # gcd(6, 6, 12) = 6: the third-turns fix C(1, 1) * C(3, 1) = 3
         # assignments, so phi(3) read one higher leaves 603 fixed points
         # over 2M = 12; the d = 2 and d = 6 terms are read correctly.
-        real = counting.totient
-        monkeypatch.setattr(counting, "totient", lambda d: real(d) + (d == 3))
+        real = counting._totient
+        monkeypatch.setattr(counting, "_totient", lambda d: real(d) + (d == 3))
         with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
-            necklace_count(6, NecklaceSpec(6, 12))
+            count_necklaces(NecklaceSpec(6, 12), 12)
 
     @pytest.mark.parametrize(
         "m, n_at, n_gc",
@@ -164,7 +157,7 @@ class TestClosedFormKernel:
         # divisors, each of whose rotations fixes some assignments.  The
         # last four take the even-M reflection term through each parity
         # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
-        assert necklace_count(m, NecklaceSpec(n_at, n_gc)) == count_orbits(
+        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
             dihedral_bipartite_index(m), n_at, n_gc
         )
 
@@ -187,7 +180,7 @@ class TestClosedFormKernel:
     def test_non_divisible_rotation_sum_maps_to_exit_three(
         self, monkeypatch, capsys
     ):
-        monkeypatch.setattr(counting, "totient", lambda d: 2 if d == 2 else 1)
+        monkeypatch.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1)
         code = cli.main(["count", "--alpha", "4", "--at", "4", "--gc", "6"])
         captured = capsys.readouterr()
         assert code == 3
@@ -240,11 +233,11 @@ class TestCountNecklaces:
 
 class TestZeroAlternationCount:
     def test_homogeneous_chains(self):
-        assert necklace_count(0, NecklaceSpec(0, 7)) == 1
-        assert necklace_count(0, NecklaceSpec(5, 0)) == 1
+        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
+        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
 
     def test_mixed_content_forces_alternations(self):
-        assert necklace_count(0, NecklaceSpec(3, 4)) == 0
+        assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
 
     def test_matches_enumeration_for_every_content(self):
         for n in range(1, 15):
@@ -252,7 +245,6 @@ class TestZeroAlternationCount:
             for n_at in range(n + 1):
                 spec = NecklaceSpec(n_at, n - n_at)
                 expected = buckets.get((n_at, 0), 0)
-                assert necklace_count(0, spec) == expected, spec
                 assert count_necklaces(spec, 0) == expected, spec
 
 

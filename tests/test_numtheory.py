@@ -1,17 +1,16 @@
-"""`totient`, and the `binomial` and `divisors` helpers of the reference
-route in `tests/reference/`, which the package no longer ships."""
+"""The counting kernel's private `_totient`, and the `binomial`,
+`divisors` and `totient` helpers of the reference route in
+`tests/reference/`, which the package does not ship.  The reference
+`totient` counts coprime j straight from the definition, so `_totient`'s
+trial-division route is checked against arithmetic it does not share."""
 
 import math
 
 import pytest
 
-from dna_necklace.numtheory import totient
-from reference.cycle_index import divisors
+from dna_necklace.counting import _totient as totient
+from reference.cycle_index import divisors, totient as totient_by_definition
 from reference.series import binomial
-
-
-def totient_by_scan(n):
-    return sum(1 for d in range(1, n + 1) if math.gcd(d, n) == 1)
 
 
 class TestBinomial:
@@ -51,12 +50,6 @@ class TestTotient:
         assert totient(5) == 4
         assert totient(12) == 4
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            totient(0)
-        with pytest.raises(ValueError):
-            totient(-3)
-
     def test_multiplicative_on_coprime_pairs(self):
         for m in range(1, 101):
             for n in range(1, 101):
@@ -67,14 +60,21 @@ class TestTotient:
         for n in range(1, 501):
             assert sum(totient(d) for d in divisors(n)) == n
 
+    def test_reference_satisfies_divisor_sum_identity(self):
+        # Gauss's identity checks the reference phi without the kernel's.
+        for n in range(1, 501):
+            assert sum(totient_by_definition(d) for d in divisors(n)) == n
+
     def test_matches_gcd_count_definition(self):
         for n in range(1, 2001):
-            assert totient(n) == totient_by_scan(n), n
+            assert totient(n) == totient_by_definition(n), n
 
     def test_factorization_path_matches_scan(self):
-        # Values above the gcd-scan cutoff take the factorization branch.
+        # Past the exhaustive range: the primes 10 007 and 65 537, the
+        # semiprime 10 001 = 73 * 137, 12 288 = 2^12 * 3 and the primorial
+        # 30 030 = 2 * 3 * 5 * 7 * 11 * 13.
         for n in (10_001, 10_007, 12_288, 30_030, 65_537):
-            assert totient(n) == totient_by_scan(n)
+            assert totient(n) == totient_by_definition(n)
 
 
 class TestDivisors:

@@ -1,7 +1,19 @@
-"""The package's public names, pinned: adding or removing one is a
-deliberate change that shows up as a diff of the list below."""
+"""The package's public names and its modules, pinned: adding or removing
+one is a deliberate change that shows up as a diff of the lists below."""
+
+import pkgutil
 
 import dna_necklace
+
+MODULES = [
+    "__main__",
+    "_lmdif",
+    "cli",
+    "counting",
+    "montecarlo",
+    "oracle",
+    "stats",
+]
 
 PUBLIC = [
     "DiscretePdf",
@@ -22,15 +34,18 @@ PUBLIC = [
     "empirical_pdf",
     "enumerate_all",
     "fit_gaussian",
-    "necklace_count",
     "sample_chains",
     "split_by_ratio",
     "sweep_fixed_at",
     "sweep_fixed_ratio",
     "theoretical_pdf",
     "total_abs_diff",
-    "totient",
 ]
+
+
+def test_modules_are_pinned():
+    found = sorted(info.name for info in pkgutil.iter_modules(dna_necklace.__path__))
+    assert found == MODULES
 
 
 def test_all_is_pinned():
