@@ -1,37 +1,36 @@
-"""Bipartite cycle indices of the container symmetry groups.
+"""Pólya's route to necklace counts, kept as the tests' reference.
 
 A necklace with 2M alternations is M white and M black containers placed
-alternately around a circle.  Rotating or reflecting the necklace permutes
-the white containers among themselves and likewise the black ones, so each
-group element is summarized by how many d-cycles its permutation has on
-each color class.  A bipartite cycle index collects these as monomials in
-two indexed variable families, x_d for white-container cycles and y_d for
-black-container cycles, with exact rational coefficients.
+alternately around a circle.  Its rotations and reflections permute the
+white containers among themselves and likewise the black ones, so each
+group element is summarized by its d-cycles on each color class: a
+monomial in x_d (white cycles) and y_d (black cycles).  The bipartite
+cycle index sums these monomials with exact rational coefficients.
 
-Indices are materialized as explicit term lists so the counting
-substitution (replace x_d by f(x^d), y_d by f(y^d) and read off one
-coefficient) stays a generic, separately testable step.  Production
-counts do not take this route: `counting.count_necklaces` evaluates the
-same Burnside sum in closed form with integers only.  This module is the
-independent reference the tests check that kernel against, so it shares
-no arithmetic with it: even Euler's phi is its own, from the definition.
+A container holds at least one bead, so containers are counted by bead
+content by f(x) = x + x^2 + ... = x / (1 - x).  Replacing x_d by f(x^d)
+and y_d by f(y^d) and reading off one coefficient counts the necklaces
+(de Bruijn, "Pólya's theory of counting", 1964), and the powers of f have
+the closed form [x^r] f(x^a)^b = C(r/a - 1, b - 1) when a | r and
+r >= a*b, else 0.
 
-``str(index)`` renders a human-readable polynomial for debugging, e.g.
-``1/10·x1^5·y1^5 + 2/5·x5·y5 + 1/2·x1·y1·x2^2·y2^2``.  The format is for
-eyes, not parsers.
+`counting.count_necklaces` evaluates the same Burnside sum in closed form
+with integers only.  This module is the independent reference the tests
+check it against, so it shares no arithmetic with it (even Euler's phi is
+its own, from the definition), and it is only as general as those
+comparisons need.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from dna_necklace.counting import IntegralityError
 
-from .series import product_weight_coeff
-
 # A monomial in one variable family: sorted ((subscript d, exponent), ...).
+# As a series it is the product of the factors f(x^d)^exponent.
 Monomial = tuple[tuple[int, int], ...]
 
 
@@ -46,108 +45,88 @@ class CycleTerm:
 class BipartiteCycleIndex:
     terms: tuple[CycleTerm, ...]
 
-    def __str__(self) -> str:
-        return " + ".join(_render_term(t) for t in self.terms)
-
-
-def _render_vars(name: str, mono: Monomial) -> list[str]:
-    return [
-        f"{name}{d}" if e == 1 else f"{name}{d}^{e}" for d, e in mono
-    ]
-
-
-def _render_term(term: CycleTerm) -> str:
-    parts = _render_vars("x", term.x_cycles) + _render_vars("y", term.y_cycles)
-    return "·".join([str(term.coeff)] + parts) if parts else str(term.coeff)
-
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order, including 1 and n."""
     if n <= 0:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def totient(d: int) -> int:
     """Euler's phi by its definition: the j in 1..d with gcd(j, d) = 1."""
-    return sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+    return sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
 
 
 def _monomial(exponents: dict[int, int]) -> Monomial:
     return tuple(sorted((d, e) for d, e in exponents.items() if e > 0))
 
 
-def _merged(
-    raw: list[tuple[Fraction, Monomial, Monomial]]
-) -> tuple[CycleTerm, ...]:
-    # Equal monomials (they arise for small M) merge by summing coefficients.
-    acc: dict[tuple[Monomial, Monomial], Fraction] = {}
-    order: list[tuple[Monomial, Monomial]] = []
-    for coeff, xm, ym in raw:
-        key = (xm, ym)
-        if key not in acc:
-            order.append(key)
-            acc[key] = Fraction(0)
-        acc[key] += coeff
-    return tuple(CycleTerm(acc[k], k[0], k[1]) for k in order)
-
-
-def cyclic_bipartite_index(m: int) -> BipartiteCycleIndex:
-    """Index of the rotation-only action on M white and M black containers.
-
-    Rotations act symmetrically on the two color classes; the rotations
-    whose container permutation splits into d-cycles number totient(d) for
-    each divisor d of M, giving (1/M) sum over d|M of phi(d) x_d^{M/d} y_d^{M/d}.
-    """
-    if m <= 0:
-        raise ValueError(f"container count must be >= 1, got {m}")
-    raw = [
-        (Fraction(totient(d), m), _monomial({d: m // d}), _monomial({d: m // d}))
-        for d in divisors(m)
-    ]
-    return BipartiteCycleIndex(_merged(raw))
-
-
 def dihedral_bipartite_index(m: int) -> BipartiteCycleIndex:
     """Index of the full rotation+reflection action on the 2M containers.
 
-    Half the group elements are the rotations of the cyclic index (their
-    coefficients halve to phi(d)/2M).  The M reflections depend on parity:
-    for odd M every axis fixes one white and one black container and pairs
-    the rest, contributing (1/2) x1 y1 x2^{(M-1)/2} y2^{(M-1)/2}; for even M
-    half the axes pass through two white containers and half through two
-    black ones, contributing (1/4) x1^2 x2^{(M-2)/2} y2^{M/2} plus the
-    color-swapped term.
+    The M rotations whose container permutation splits into d-cycles
+    number phi(d) for each divisor d of M, contributing phi(d)/2M
+    x_d^{M/d} y_d^{M/d}.  The M reflections depend on parity: for odd M
+    every axis fixes one white and one black container and pairs the rest,
+    contributing (1/2) x1 y1 x2^{(M-1)/2} y2^{(M-1)/2}; for even M half the
+    axes pass through two white containers and half through two black
+    ones, contributing (1/4) x1^2 x2^{(M-2)/2} y2^{M/2} plus the
+    color-swapped term.  Terms with equal monomials (only at M = 1) are
+    left unmerged: the substitution is linear in the terms.
     """
     if m <= 0:
         raise ValueError(f"container count must be >= 1, got {m}")
-    raw = [
-        (
-            Fraction(totient(d), 2 * m),
-            _monomial({d: m // d}),
-            _monomial({d: m // d}),
-        )
+    terms = [
+        CycleTerm(Fraction(totient(d), 2 * m), ((d, m // d),), ((d, m // d),))
         for d in divisors(m)
     ]
     if m % 2 == 1:
         half = _monomial({1: 1, 2: (m - 1) // 2})
-        raw.append((Fraction(1, 2), half, half))
+        terms.append(CycleTerm(Fraction(1, 2), half, half))
     else:
         through = _monomial({1: 2, 2: (m - 2) // 2})
         across = _monomial({2: m // 2})
-        raw.append((Fraction(1, 4), through, across))
-        raw.append((Fraction(1, 4), across, through))
-    return BipartiteCycleIndex(_merged(raw))
+        terms.append(CycleTerm(Fraction(1, 4), through, across))
+        terms.append(CycleTerm(Fraction(1, 4), across, through))
+    return BipartiteCycleIndex(tuple(terms))
+
+
+def weight_coeff(r: int, factor: tuple[int, int]) -> int:
+    """Coefficient of x^r in f(x^stride)^power; power 0 is the constant 1."""
+    stride, power = factor
+    if r < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {r}")
+    if power < 0:
+        raise ValueError(f"series power must be >= 0, got {power}")
+    if stride < 0 or (power >= 1 and stride < 1):
+        raise ValueError(f"series stride must be >= 1, or 0 at power 0, got {stride}")
+    if power == 0:
+        return 1 if r == 0 else 0
+    if r % stride != 0 or r < stride * power:
+        return 0
+    return math.comb(r // stride - 1, power - 1)
+
+
+def product_weight_coeff(r: int, factors: Monomial) -> int:
+    """Coefficient of x^r in the product of at most two factors.
+
+    A dihedral monomial has one cycle length (a rotation) or the lengths 1
+    and 2 (a reflection), so one factor is a closed form and two are one
+    convolution of closed forms.  A third factor raises ValueError rather
+    than being folded in.  The empty product is the constant series 1.
+    """
+    if r < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {r}")
+    if len(factors) > 2:
+        raise ValueError(f"at most two series factors, got {len(factors)}")
+    if len(factors) < 2:
+        return weight_coeff(r, factors[0] if factors else (1, 0))
+    first, second = factors
+    return sum(
+        weight_coeff(k, first) * weight_coeff(r - k, second) for k in range(r + 1)
+    )
 
 
 def count_orbits(index: BipartiteCycleIndex, n_at: int, n_gc: int) -> int:

@@ -28,8 +28,7 @@ from dna_necklace.stats import (
     sweep_fixed_ratio,
     theoretical_pdf,
 )
-from reference.cycle_index import dihedral_bipartite_index
-from reference.series import binomial, weight_coeff
+from reference.cycle_index import dihedral_bipartite_index, weight_coeff
 
 
 @contextmanager
@@ -215,7 +214,3 @@ def test_criterion_9_property_suites():
         for a, b in [(50, 50), (40, 60), (100, 25)]:
             pdf = theoretical_pdf(NecklaceSpec(a, b))
             assert abs(sum(pdf.entries.values()) - 1.0) < 1e-12
-        # Binomial recurrence backing all of the above.
-        for n in range(1, 40):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)

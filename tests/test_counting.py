@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,12 +8,14 @@ from dna_necklace import cli, counting
 from dna_necklace.counting import (
     IntegralityError,
     NecklaceSpec,
+    _totient,
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
 )
 from dna_necklace.oracle import enumerate_all
-from reference.cycle_index import count_orbits, dihedral_bipartite_index
+from reference.cycle_index import count_orbits, dihedral_bipartite_index, divisors
+from reference.cycle_index import totient as totient_by_definition
 
 
 def total_count(spec):
@@ -220,15 +224,22 @@ class TestCountNecklaces:
         assert str(info.value) == f"alternation count {message}"
 
     def test_matches_distribution_when_rotations_contribute(self):
+        # The distribution is built from count_necklaces, so each of its
+        # counts is checked against the cycle-index route, not the kernel.
         for spec in [
             NecklaceSpec(4, 6),
             NecklaceSpec(6, 12),
             NecklaceSpec(12, 18),
             NecklaceSpec(24, 24),
+            NecklaceSpec(36, 24),
+            NecklaceSpec(30, 45),
         ]:
             dist = alternation_distribution(spec)
-            for alpha in range(0, spec.max_alternations + 1, 2):
-                assert count_necklaces(spec, alpha) == dist[alpha], (spec, alpha)
+            for m in range(1, min(spec.n_at, spec.n_gc) + 1):
+                expected = count_orbits(
+                    dihedral_bipartite_index(m), spec.n_at, spec.n_gc
+                )
+                assert dist[2 * m] == expected, (spec, m)
 
 
 class TestZeroAlternationCount:
@@ -306,3 +317,40 @@ class TestTotals:
         specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
         for spec in specs:
             assert total_count(spec) == bracelet_count_direct(spec), spec
+
+
+class TestTotient:
+    """The kernel's private `_totient` against the reference route's phi,
+    which counts coprime j from the definition and so shares no arithmetic
+    with `_totient`'s trial division."""
+
+    def test_known_values(self):
+        assert _totient(1) == 1
+        assert _totient(5) == 4
+        assert _totient(12) == 4
+
+    def test_multiplicative_on_coprime_pairs(self):
+        for m in range(1, 101):
+            for n in range(1, 101):
+                if math.gcd(m, n) == 1:
+                    assert _totient(m * n) == _totient(m) * _totient(n)
+
+    def test_divisor_sum_identity(self):
+        for n in range(1, 501):
+            assert sum(_totient(d) for d in divisors(n)) == n
+
+    def test_reference_satisfies_divisor_sum_identity(self):
+        # Gauss's identity checks the reference phi without the kernel's.
+        for n in range(1, 501):
+            assert sum(totient_by_definition(d) for d in divisors(n)) == n
+
+    def test_matches_gcd_count_definition(self):
+        for n in range(1, 2001):
+            assert _totient(n) == totient_by_definition(n), n
+
+    def test_large_values_match_definition(self):
+        # Past the exhaustive range: the primes 10 007 and 65 537, the
+        # semiprime 10 001 = 73 * 137, 12 288 = 2^12 * 3 and the primorial
+        # 30 030 = 2 * 3 * 5 * 7 * 11 * 13.
+        for n in (10_001, 10_007, 12_288, 30_030, 65_537):
+            assert _totient(n) == totient_by_definition(n)

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +9,8 @@ from reference.cycle_index import (
     BipartiteCycleIndex,
     CycleTerm,
     count_orbits,
-    cyclic_bipartite_index,
     dihedral_bipartite_index,
+    divisors,
 )
 
 
@@ -20,30 +22,6 @@ def weighted_size(monomial):
     return sum(d * e for d, e in monomial)
 
 
-class TestCyclicIndex:
-    def test_identity_only_group(self):
-        assert term_set(cyclic_bipartite_index(1)) == {
-            (Fraction(1), ((1, 1),), ((1, 1),))
-        }
-
-    def test_prime_container_count(self):
-        assert term_set(cyclic_bipartite_index(5)) == {
-            (Fraction(1, 5), ((1, 5),), ((1, 5),)),
-            (Fraction(4, 5), ((5, 1),), ((5, 1),)),
-        }
-
-    def test_composite_container_count(self):
-        assert term_set(cyclic_bipartite_index(4)) == {
-            (Fraction(1, 4), ((1, 4),), ((1, 4),)),
-            (Fraction(1, 4), ((2, 2),), ((2, 2),)),
-            (Fraction(1, 2), ((4, 1),), ((4, 1),)),
-        }
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cyclic_bipartite_index(0)
-
-
 class TestDihedralIndex:
     def test_odd_case(self):
         assert term_set(dihedral_bipartite_index(5)) == {
@@ -52,12 +30,11 @@ class TestDihedralIndex:
             (Fraction(1, 2), ((1, 1), (2, 2)), ((1, 1), (2, 2))),
         }
 
-    def test_smallest_case_merges_to_identity(self):
-        # The lone reflection coincides with the identity on one container
-        # of each color, so the two halves merge.
-        assert term_set(dihedral_bipartite_index(1)) == {
-            (Fraction(1), ((1, 1),), ((1, 1),))
-        }
+    def test_smallest_case_keeps_both_halves(self):
+        # The lone reflection acts like the identity on one container of
+        # each color; its term is kept beside the identity's, not merged.
+        half = CycleTerm(Fraction(1, 2), ((1, 1),), ((1, 1),))
+        assert dihedral_bipartite_index(1).terms == (half, half)
 
     def test_even_case(self):
         assert term_set(dihedral_bipartite_index(2)) == {
@@ -73,9 +50,7 @@ class TestDihedralIndex:
 
     def test_coefficients_sum_to_one(self):
         for m in range(1, 201):
-            for build in (cyclic_bipartite_index, dihedral_bipartite_index):
-                total = sum(t.coeff for t in build(m).terms)
-                assert total == 1, (build.__name__, m)
+            assert sum(t.coeff for t in dihedral_bipartite_index(m).terms) == 1, m
 
     def test_every_term_permutes_all_containers(self):
         for m in range(1, 201):
@@ -83,11 +58,12 @@ class TestDihedralIndex:
                 assert weighted_size(term.x_cycles) == m
                 assert weighted_size(term.y_cycles) == m
 
-    def test_rendering(self):
-        assert str(dihedral_bipartite_index(5)) == (
-            "1/10·x1^5·y1^5 + 2/5·x5·y5 + 1/2·x1·x2^2·y1·y2^2"
-        )
-        assert str(dihedral_bipartite_index(1)) == "1·x1·y1"
+    def test_every_monomial_has_one_or_two_cycle_lengths(self):
+        # The coefficient extraction handles at most two factors.
+        for m in range(1, 201):
+            for term in dihedral_bipartite_index(m).terms:
+                assert 1 <= len(term.x_cycles) <= 2
+                assert 1 <= len(term.y_cycles) <= 2
 
 
 class TestCountOrbits:
@@ -125,3 +101,38 @@ class TestCountOrbits:
         )
         with pytest.raises(IntegralityError):
             count_orbits(bad, 1, 1)
+
+
+class TestDivisors:
+    def test_known_values(self):
+        assert divisors(5) == [1, 5]
+        assert divisors(1) == [1]
+        assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            divisors(0)
+        with pytest.raises(ValueError):
+            divisors(-12)
+
+    def test_matches_trial_division(self):
+        for n in range(1, 201):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_reference_imports_only_the_integrality_error_from_the_package():
+    # The two routes to exact counts stay independent: the reference may
+    # raise the package's IntegralityError, but takes no arithmetic from it.
+    imported = set()
+    for path in sorted((Path(__file__).parent / "reference").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.name, None) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported |= {(node.module, alias.name) for alias in node.names}
+    from_package = {
+        (module, name)
+        for module, name in imported
+        if module == "dna_necklace" or module.startswith("dna_necklace.")
+    }
+    assert from_package == {("dna_necklace.counting", "IntegralityError")}

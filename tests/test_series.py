@@ -1,12 +1,13 @@
+"""Coefficient extraction from the container weight series f(x) = x + x^2 + ...
+
+The extraction lives in the reference route, `reference.cycle_index`.
+"""
+
+import math
+
 import pytest
 
-from reference.series import (
-    SeriesFactor,
-    binomial,
-    binary_weight_coeff,
-    product_weight_coeff,
-    weight_coeff,
-)
+from reference.cycle_index import product_weight_coeff, weight_coeff
 
 
 def expand_power(stride, power, limit):
@@ -63,7 +64,7 @@ class TestWeightCoeff:
         # [x^{n+k}] f(x)^n reduces to a single binomial.
         for n in range(1, 13):
             for k in range(0, 21):
-                assert weight_coeff(n + k, (1, n)) == binomial(n + k - 1, n - 1)
+                assert weight_coeff(n + k, (1, n)) == math.comb(n + k - 1, n - 1)
 
     def test_vanishes_below_lowest_term(self):
         for a in range(1, 7):
@@ -81,29 +82,6 @@ class TestWeightCoeff:
         with pytest.raises(ValueError):
             weight_coeff(4, (-2, 0))
 
-    def test_accepts_named_factors(self):
-        assert weight_coeff(8, SeriesFactor(1, 5)) == 35
-
-
-class TestBinaryWeightCoeff:
-    def test_known_values(self):
-        assert binary_weight_coeff(6, (1, 1), (2, 2)) == 1
-        assert binary_weight_coeff(8, (1, 1), (2, 2)) == 3
-        assert binary_weight_coeff(3, (2, 1), (2, 1)) == 0
-
-    def test_matches_truncated_expansion(self):
-        for a1, b1 in [(1, 1), (2, 2), (3, 1), (1, 4), (2, 0)]:
-            for a2, b2 in [(1, 2), (2, 1), (4, 2), (1, 0)]:
-                reference = multiply_truncated(
-                    expand_power(a1, b1, LIMIT), expand_power(a2, b2, LIMIT), LIMIT
-                )
-                for r in range(LIMIT + 1):
-                    assert binary_weight_coeff(r, (a1, b1), (a2, b2)) == reference[r]
-
-    def test_propagates_factor_errors(self):
-        with pytest.raises(ValueError):
-            binary_weight_coeff(4, (0, 2), (1, 1))
-
 
 class TestProductWeightCoeff:
     def test_empty_product(self):
@@ -115,25 +93,36 @@ class TestProductWeightCoeff:
         for r in range(0, 30):
             assert product_weight_coeff(r, [(1, 5)]) == weight_coeff(r, (1, 5))
 
-    def test_two_factors_match_binary(self):
-        partners = [(1, 2), (2, 1), (3, 4), (4, 0), (5, 2), (6, 6), (2, 3)]
-        for a1 in range(1, 7):
-            for b1 in range(0, 7):
-                f2 = partners[(a1 * 7 + b1) % len(partners)]
-                for r in range(0, LIMIT + 1, 3):
-                    expected = binary_weight_coeff(r, (a1, b1), f2)
-                    assert product_weight_coeff(r, [(a1, b1), f2]) == expected
-                    # Padding with the constant series forces the general
-                    # fold path without changing the value.
-                    assert product_weight_coeff(r, [(a1, b1), f2, (1, 0)]) == expected
+    def test_two_factors_match_truncated_expansion(self):
+        for a1, b1 in [(1, 1), (2, 2), (3, 1), (1, 4), (2, 0)]:
+            for a2, b2 in [(1, 2), (2, 1), (4, 2), (1, 0)]:
+                reference = multiply_truncated(
+                    expand_power(a1, b1, LIMIT), expand_power(a2, b2, LIMIT), LIMIT
+                )
+                for r in range(LIMIT + 1):
+                    got = product_weight_coeff(r, [(a1, b1), (a2, b2)])
+                    assert got == reference[r], (r, (a1, b1), (a2, b2))
 
     def test_known_two_factor_value(self):
         assert product_weight_coeff(8, [(1, 1), (2, 2)]) == 3
 
-    def test_three_factors_match_truncated_expansion(self):
-        factors = [(1, 2), (2, 1), (3, 1)]
-        reference = expand_power(1, 2, 30)
-        reference = multiply_truncated(reference, expand_power(2, 1, 30), 30)
-        reference = multiply_truncated(reference, expand_power(3, 1, 30), 30)
-        for r in range(31):
-            assert product_weight_coeff(r, factors) == reference[r]
+    def test_known_values(self):
+        assert product_weight_coeff(6, [(1, 1), (2, 2)]) == 1
+        assert product_weight_coeff(8, [(1, 1), (2, 2)]) == 3
+        assert product_weight_coeff(3, [(2, 1), (2, 1)]) == 0
+
+    def test_propagates_factor_errors(self):
+        with pytest.raises(ValueError):
+            product_weight_coeff(4, [(0, 2), (1, 1)])
+        with pytest.raises(ValueError):
+            product_weight_coeff(4, [(1, 1), (1, -1)])
+        with pytest.raises(ValueError):
+            product_weight_coeff(-1, [(1, 1), (2, 2)])
+
+    def test_third_factor_raises(self):
+        # No dihedral monomial has three cycle lengths, so nothing folds a
+        # third factor in.
+        with pytest.raises(ValueError, match="at most two series factors, got 3"):
+            product_weight_coeff(6, [(1, 2), (2, 1), (3, 1)])
+        with pytest.raises(ValueError, match="got 3"):
+            product_weight_coeff(6, [(1, 1), (2, 2), (1, 0)])
