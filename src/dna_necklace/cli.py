@@ -145,7 +145,8 @@ def cmd_mc(args) -> str:
 def _read_pdf_file(path: str) -> DiscretePdf:
     """Load a pdf from CSV having alpha and probability columns.
 
-    The file must be UTF-8 and no row may have more cells than the header.
+    The file must be UTF-8, its header must name each of the two columns
+    once, and no row may have more cells than the header.
     Alternation counts must be even, >= 0, within float range and listed
     once, probabilities finite and >= 0; anything else is rejected rather
     than silently dropped or overwritten.  A rejection names the file and
@@ -176,10 +177,17 @@ def _read_pdf_file(path: str) -> DiscretePdf:
 
     entries: dict[int, float] = {}
     try:
+        header = reader.fieldnames  # None when the file has no lines
         for column in ("alpha", "probability"):
-            if reader.fieldnames is not None and column not in reader.fieldnames:
+            if header is not None and column not in header:
                 raise ValueError(
                     f"{path}, line {line()}: the header has no {column} column"
+                )
+            # DictReader would silently read the last of repeated columns.
+            if header is not None and header.count(column) > 1:
+                raise ValueError(
+                    f"{path}, line {line()}: the header names the {column} "
+                    "column more than once"
                 )
         for record in reader:
             where = f"{path}, line {line()}"
@@ -388,12 +396,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _write(args, args.func(args))
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return USAGE_ERROR
     except IntegralityError as exc:
-        print(f"integrality failure: {exc}", file=sys.stderr)
+        _report("integrality failure", exc)
         return INTEGRALITY_ERROR
     return 0
+
+
+def _report(kind: str, exc: Exception) -> None:
+    """One stderr line, even for a message with line breaks in it (the
+    least-squares search's failure texts have them)."""
+    message = " ".join(line.strip() for line in str(exc).splitlines())
+    print(f"{kind}: {message}", file=sys.stderr)
 
 
 def entrypoint() -> None:

@@ -134,8 +134,13 @@ def empirical_pdf(config: MCConfig, set_index: int = 0) -> DiscretePdf:
     """Normalized alternation frequencies from one simulation set.
 
     Deterministic in (config, set_index): the stream is
-    derive_subseed(config.seed, set_index).
+    derive_subseed(config.seed, set_index).  The index must name one of
+    the config's sets.
     """
+    if not 0 <= set_index < config.sets:
+        raise ValueError(
+            f"set_index must be in range({config.sets}), got {set_index}"
+        )
     return _run_set(config, set_index)[2]
 
 

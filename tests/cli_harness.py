@@ -1,0 +1,39 @@
+"""The CLI runners and the exit-2 check the test modules share: exit code
+2, nothing on stdout and one stderr line, ``error: ...``."""
+
+import contextlib
+import io
+import subprocess
+import sys
+
+from dna_necklace import cli
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of one in-process `cli.main` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejecting the vector
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv):
+    """The completed ``python -m dna_necklace`` child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "dna_necklace", *argv], capture_output=True, text=True
+    )
+
+
+def assert_usage_error(result, fragment):
+    """`result` (a `run_cli` triple or a `run_module` process) took the
+    exit-2 path of `cli.main`, with `fragment` in its one stderr line."""
+    if isinstance(result, subprocess.CompletedProcess):
+        result = result.returncode, result.stdout, result.stderr
+    code, out, err = result
+    assert (code, out) == (2, ""), result
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert len(err.splitlines()) == 1, err
+    assert fragment in err, err

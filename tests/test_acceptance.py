@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from dna_necklace import cli
 from dna_necklace.counting import (
     NecklaceSpec,
     alternation_distribution,
@@ -29,6 +28,7 @@ from dna_necklace.stats import (
     theoretical_pdf,
 )
 from reference.cycle_index import dihedral_bipartite_index, weight_coeff
+from cli_harness import run_cli
 
 
 @contextmanager
@@ -46,12 +46,11 @@ def criterion(number, title, budget_seconds):
     assert elapsed < budget_seconds, f"criterion {number} overran {budget_seconds}s"
 
 
-def test_criterion_1_worked_example_resolution(capsys):
+def test_criterion_1_worked_example_resolution():
     with criterion(
         1, "count(alpha=10, at=8, gc=6) = 19, confirmed by direct enumeration", 1.0
     ):
-        code = cli.main(["--quiet", "count", "--alpha", "10", "--at", "8", "--gc", "6"])
-        out, _ = capsys.readouterr()
+        code, out, _ = run_cli("--quiet", "count", "--alpha", "10", "--at", "8", "--gc", "6")
         assert code == 0
         assert out == "19\n"
         # Independent route: all C(14,6) = 3003 arrangements, canonicalized

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import io
 import json
 import math
 import subprocess
@@ -11,21 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dna_necklace import cli
 from dna_necklace.counting import (
-    IntegralityError,
     NecklaceSpec,
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
 )
 from dna_necklace.oracle import MAX_ENUMERATION_BITS
-
-
-def run_cli(capsys, *args):
-    code = cli.main(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from cli_harness import assert_usage_error, run_cli, run_module
 
 
 def parse_csv(text):
@@ -45,33 +37,31 @@ def int_digit_limit(limit):
 
 
 class TestCount:
-    def test_worked_example_quiet(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "count", "--alpha", "10", "--at", "8", "--gc", "6")
+    def test_worked_example_quiet(self):
+        code, out, _ = run_cli("--quiet", "count", "--alpha", "10", "--at", "8", "--gc", "6")
         assert code == 0
         assert out == "19\n"
 
-    def test_parameter_echo_by_default(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--alpha", "2", "--at", "1", "--gc", "1")
+    def test_parameter_echo_by_default(self):
+        code, out, _ = run_cli("count", "--alpha", "2", "--at", "1", "--gc", "1")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "# command: count"
         assert lines[-1] == "1"
 
-    def test_odd_alpha_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--alpha", "3", "--at", "5", "--gc", "5")
-        assert code == 2
-        assert "must be even" in err
+    def test_odd_alpha_rejected(self):
+        result = run_cli("count", "--alpha", "3", "--at", "5", "--gc", "5")
+        assert_usage_error(result, "must be even")
 
-    def test_empty_spec_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--alpha", "0", "--at", "0", "--gc", "0")
-        assert code == 2
-        assert "empty necklace" in err
+    def test_empty_spec_rejected(self):
+        result = run_cli("count", "--alpha", "0", "--at", "0", "--gc", "0")
+        assert_usage_error(result, "empty necklace")
 
-    def test_count_past_digit_limit(self, capsys):
+    def test_count_past_digit_limit(self):
         # 4 507 digits: past the default limit of 4 300 on `str(int)`.
         limit = sys.get_int_max_str_digits()
         code, out, err = run_cli(
-            capsys, "--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"
+            "--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"
         )
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
@@ -81,18 +71,18 @@ class TestCount:
 
 
 class TestPdf:
-    def test_small_table_exact(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "2", "--gc", "2")
+    def test_small_table_exact(self):
+        code, out, _ = run_cli("--quiet", "pdf", "--at", "2", "--gc", "2")
         assert code == 0
         assert out == "alpha,count,probability\n0,0,0\n2,1,0.5\n4,1,0.5\n"
 
-    def test_homogeneous_single_row(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "0", "--gc", "4")
+    def test_homogeneous_single_row(self):
+        code, out, _ = run_cli("--quiet", "pdf", "--at", "0", "--gc", "4")
         assert code == 0
         assert out == "alpha,count,probability\n0,1,1\n"
 
-    def test_balanced_hundred_bead_support(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "50", "--gc", "50")
+    def test_balanced_hundred_bead_support(self):
+        code, out, _ = run_cli("--quiet", "pdf", "--at", "50", "--gc", "50")
         assert code == 0
         rows = parse_csv(out)
         assert [int(r["alpha"]) for r in rows] == list(range(0, 101, 2))
@@ -101,22 +91,22 @@ class TestPdf:
             assert set(row["count"]) <= set("0123456789")
         assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-12
 
-    def test_json_mirrors_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "pdf", "--at", "2", "--gc", "2", "--format", "json")
+    def test_json_mirrors_csv(self):
+        code, out, _ = run_cli("pdf", "--at", "2", "--gc", "2", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["command"] == "pdf"
         assert doc["parameters"] == {"at": 2, "gc": 2}
         assert doc["rows"][1] == {"alpha": 2, "count": "1", "probability": 0.5}
 
-    def test_quiet_json_drops_parameters(self, capsys):
-        _, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "2", "--gc", "2", "--format", "json")
+    def test_quiet_json_drops_parameters(self):
+        _, out, _ = run_cli("--quiet", "pdf", "--at", "2", "--gc", "2", "--format", "json")
         assert "parameters" not in json.loads(out)
 
-    def test_counts_past_digit_limit(self, capsys):
+    def test_counts_past_digit_limit(self):
         # The peak count of (2500, 50000) has 4 357 digits.
         limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli(capsys, "--quiet", "pdf", "--at", "2500", "--gc", "50000")
+        code, out, err = run_cli("--quiet", "pdf", "--at", "2500", "--gc", "50000")
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
         long_rows = [row for row in parse_csv(out) if len(row["count"]) > limit]
@@ -134,11 +124,11 @@ class TestPdf:
             ["pdf", "--format", "json"],
         ],
     )
-    def test_counts_past_lowered_digit_limit(self, capsys, argv):
+    def test_counts_past_lowered_digit_limit(self, argv):
         # The peak count of (1200, 1200) has 720 digits, past the lowest
         # limit the interpreter accepts, 640.
         with int_digit_limit(640):
-            code, out, err = run_cli(capsys, *argv, "--at", "1200", "--gc", "1200")
+            code, out, err = run_cli(*argv, "--at", "1200", "--gc", "1200")
             assert sys.get_int_max_str_digits() == 640
         assert (code, err) == (0, "")
         if "json" in argv:
@@ -150,17 +140,24 @@ class TestPdf:
         dist = alternation_distribution(NecklaceSpec(1200, 1200))
         assert [int(count) for count in counts] == [dist[a] for a in sorted(dist)]
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
+    def test_out_file_matches_stdout(self, tmp_path):
         path = tmp_path / "pdf.csv"
-        run_cli(capsys, "--quiet", "pdf", "--at", "5", "--gc", "7", "--out", str(path))
-        _, out, _ = run_cli(capsys, "--quiet", "pdf", "--at", "5", "--gc", "7")
+        run_cli("--quiet", "pdf", "--at", "5", "--gc", "7", "--out", str(path))
+        _, out, _ = run_cli("--quiet", "pdf", "--at", "5", "--gc", "7")
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", ""], ids=["no-folder", "folder"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, target):
+        path = tmp_path / target
+        result = run_cli("pdf", "--at", "2", "--gc", "2", "--out", str(path))
+        assert_usage_error(result, str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMc:
-    def test_forced_distribution(self, capsys):
+    def test_forced_distribution(self):
         code, out, _ = run_cli(
-            capsys, "--quiet", "mc", "--at", "1", "--gc", "1",
+            "--quiet", "mc", "--at", "1", "--gc", "1",
             "--runs", "100", "--seed", "7", "--sets", "2",
         )
         assert code == 0
@@ -171,16 +168,16 @@ class TestMc:
             assert float(row["frequency"]) == 1.0
             assert float(row["d"]) == 0.0
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         args = ("mc", "--at", "20", "--gc", "30", "--runs", "500", "--seed", "11")
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, *args, "--out", str(first))
-        run_cli(capsys, *args, "--out", str(second))
+        run_cli(*args, "--out", str(first))
+        run_cli(*args, "--out", str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_subseeds_rederive_rows(self, capsys):
+    def test_subseeds_rederive_rows(self):
         _, out, _ = run_cli(
-            capsys, "--quiet", "mc", "--at", "10", "--gc", "10",
+            "--quiet", "mc", "--at", "10", "--gc", "10",
             "--runs", "200", "--seed", "5", "--sets", "2",
         )
         rows = parse_csv(out)
@@ -189,88 +186,81 @@ class TestMc:
         subseeds = sorted({row["sub_seed"] for row in rows})
         assert subseeds == sorted(str(derive_subseed(5, i)) for i in range(2))
 
-    def test_zero_runs_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "mc", "--at", "2", "--gc", "2", "--runs", "0")
-        assert code == 2
-        assert "runs" in err
+    def test_zero_runs_rejected(self):
+        result = run_cli("mc", "--at", "2", "--gc", "2", "--runs", "0")
+        assert_usage_error(result, "runs must be >= 1")
 
 
 class TestFit:
-    def test_balanced_hundred_bead_fit(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "fit", "--at", "50", "--gc", "50")
+    def test_balanced_hundred_bead_fit(self):
+        code, out, _ = run_cli("--quiet", "fit", "--at", "50", "--gc", "50")
         assert code == 0
         row = parse_csv(out)[0]
         assert 50.3 <= float(row["alpha0"]) <= 50.7
         assert 4.9 <= float(row["sigma"]) <= 5.3
 
-    def test_tiny_support_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "fit", "--at", "1", "--gc", "1")
-        assert code == 2
-        assert "support too small" in err
+    def test_tiny_support_rejected(self):
+        assert_usage_error(run_cli("fit", "--at", "1", "--gc", "1"), "support too small")
 
-    def test_missing_inputs_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "fit")
-        assert code == 2
-        assert "--pdf-file" in err
+    def test_missing_inputs_rejected(self):
+        assert_usage_error(run_cli("fit"), "--pdf-file")
 
-    def test_pdf_file_and_content_rejected(self, capsys, tmp_path):
+    def test_pdf_file_and_content_rejected(self, tmp_path):
         # A readable file, so that only the mix of inputs is at fault.
         path = tmp_path / "pdf.csv"
-        code, _, _ = run_cli(capsys, "pdf", "--at", "10", "--gc", "10", "--out", str(path))
+        code, _, _ = run_cli("pdf", "--at", "10", "--gc", "10", "--out", str(path))
         assert code == 0
         for content in (["--at", "10", "--gc", "10"], ["--gc", "10"]):
-            code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path), *content)
-            assert (code, out) == (2, "")
-            assert err == "error: fit takes either --pdf-file or both --at and --gc\n"
+            assert_usage_error(
+                run_cli("fit", "--pdf-file", str(path), *content),
+                "error: fit takes either --pdf-file or both --at and --gc\n",
+            )
 
-    def test_fit_from_synthetic_file(self, capsys, tmp_path):
+    def test_fit_from_synthetic_file(self, tmp_path):
         path = tmp_path / "gauss.csv"
         lines = ["alpha,probability"]
         for alpha in range(30, 71, 2):
             p = 0.08 * math.exp(-((alpha - 50.0) ** 2) / (2 * 5.0**2))
             lines.append(f"{alpha},{p!r}")
         path.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(path))
+        code, out, _ = run_cli("--quiet", "fit", "--pdf-file", str(path))
         assert code == 0
         row = parse_csv(out)[0]
         assert abs(float(row["alpha0"]) - 50.0) < 1e-6 * 50.0
         assert abs(float(row["sigma"]) - 5.0) < 1e-6 * 5.0
         assert abs(float(row["amplitude"]) - 0.08) < 1e-6 * 0.08
 
-    def test_fit_from_pdf_command_output(self, capsys, tmp_path):
+    def test_fit_from_pdf_command_output(self, tmp_path):
         path = tmp_path / "pdf.csv"
-        run_cli(capsys, "pdf", "--at", "50", "--gc", "50", "--out", str(path))
-        code, out, _ = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(path))
+        run_cli("pdf", "--at", "50", "--gc", "50", "--out", str(path))
+        code, out, _ = run_cli("--quiet", "fit", "--pdf-file", str(path))
         assert code == 0
-        _, direct, _ = run_cli(capsys, "--quiet", "fit", "--at", "50", "--gc", "50")
+        _, direct, _ = run_cli("--quiet", "fit", "--at", "50", "--gc", "50")
         file_row, direct_row = parse_csv(out)[0], parse_csv(direct)[0]
         assert abs(float(file_row["alpha0"]) - float(direct_row["alpha0"])) < 1e-9
 
-
-    def test_non_converging_fit_is_a_usage_error(self, capsys, tmp_path):
+    def test_non_converging_fit_is_a_usage_error(self, tmp_path):
         path = tmp_path / "spiky.csv"
         path.write_text("alpha,probability\n2,1\n4,0\n6,1\n8,0\n10,1e-300\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "did not converge" in err
+        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "did not converge")
+
+    def test_line_broken_failure_text_is_one_error_line(self, tmp_path):
+        # The search stops on MINPACK info 8, whose message (worded as
+        # scipy's) breaks its line before "the Jacobian".
+        path = tmp_path / "stalled.csv"
+        rows = ["0,0.9", "4,0.9", "18,4.9406564584e-314", "22,1e-15", "36,1e-300"]
+        path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            "func(x) is orthogonal to the columns of the Jacobian to machine precision.\n",
+        )
 
     def test_flat_pdf_is_a_usage_error(self):
         # (3, 3) has three equally likely alternation values: the fitted
         # width runs off to ~4.5e4 over a support of span 4.  A real process,
         # so that any warning printed along the way would show on stderr.
-        proc = subprocess.run(
-            [sys.executable, "-m", "dna_necklace", "--quiet", "fit", "--at", "3", "--gc", "3"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert "exceeds the support span" in lines[0]
+        proc = run_module("--quiet", "fit", "--at", "3", "--gc", "3")
+        assert_usage_error(proc, "exceeds the support span")
         assert "Warning" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -286,38 +276,26 @@ class TestFit:
         path = tmp_path / "huge.csv"
         rows = [f"{alpha},{p}" for alpha, p in zip((0, 2, 4), values)]
         path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "dna_necklace", "--quiet", "fit", "--pdf-file", str(path)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert reason in lines[0]
+        proc = run_module("--quiet", "fit", "--pdf-file", str(path))
+        assert_usage_error(proc, reason)
         assert "Warning" not in proc.stderr
 
-    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+    def test_byte_order_mark_is_ignored(self, tmp_path):
         text = "# exported\nalpha,probability\n0,0.2\n2,0.6\n4,0.2\n"
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode("utf-8"))
         marked.write_bytes(text.encode("utf-8-sig"))
-        _, expected, _ = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(plain))
-        code, out, err = run_cli(capsys, "--quiet", "fit", "--pdf-file", str(marked))
+        _, expected, _ = run_cli("--quiet", "fit", "--pdf-file", str(plain))
+        code, out, err = run_cli("--quiet", "fit", "--pdf-file", str(marked))
         assert code == 0, err
         assert out == expected
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.25"])
-    def test_bad_probability_rejected(self, capsys, tmp_path, value):
+    def test_bad_probability_rejected(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         rows = ["alpha,probability", "2,0.2", f"4,{value}", "6,0.5", "8,0.3"]
         path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert "finite and >= 0" in err
+        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "finite and >= 0")
 
     @pytest.mark.parametrize(
         "alpha, message",
@@ -329,23 +307,18 @@ class TestFit:
         ],
         ids=["3", "-2", "past-digit-limit"],
     )
-    def test_bad_alpha_rejected(self, capsys, tmp_path, alpha, message):
+    def test_bad_alpha_rejected(self, tmp_path, alpha, message):
         path = tmp_path / "bad.csv"
         rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
         path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert f"line 3, column alpha: {message}" in err
+        result = run_cli("fit", "--pdf-file", str(path))
+        assert_usage_error(result, f"line 3, column alpha: {message}")
 
-    def test_repeated_alpha_rejected(self, capsys, tmp_path):
+    def test_repeated_alpha_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         rows = ["alpha,probability", "2,0.2", "4,0.5", "4,0.01", "6,0.3"]
         path.write_text("\n".join(rows) + "\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert "more than once" in err
+        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "more than once")
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -368,16 +341,13 @@ class TestFit:
         ],
     )
     def test_rejected_row_names_file_line_and_column(
-        self, capsys, tmp_path, rows, message
+        self, tmp_path, rows, message
     ):
         # Line numbers count the comment line the reader skips.
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(["# exported", "alpha,probability", *rows]) + "\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {path}, {message}")
-        assert err.count("\n") == 1
+        result = run_cli("fit", "--pdf-file", str(path))
+        assert_usage_error(result, f"error: {path}, {message}")
 
     @pytest.mark.parametrize(
         "data, line",
@@ -388,39 +358,44 @@ class TestFit:
         ],
         ids=["header", "row"],
     )
-    def test_non_utf8_file_names_file_and_line(self, capsys, tmp_path, data, line):
+    def test_non_utf8_file_names_file_and_line(self, tmp_path, data, line):
         path = tmp_path / "latin.csv"
         path.write_bytes(data)
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {path}, line {line}: not UTF-8 text (byte 0xff")
-        assert err.count("\n") == 1
+        result = run_cli("fit", "--pdf-file", str(path))
+        assert_usage_error(result, f"error: {path}, line {line}: not UTF-8 text (byte 0xff")
 
-    def test_subnormal_pdf_is_a_usage_error(self, capsys, tmp_path):
+    def test_subnormal_pdf_is_a_usage_error(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("alpha,probability\n0,1e-320\n2,2e-320\n4,1e-320\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == (
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
             "error: largest probability subnormal (peak = 2e-320): the pdf values "
-            "are too small for floating-point arithmetic\n"
+            "are too small for floating-point arithmetic\n",
         )
 
-    def test_header_without_a_column_is_named(self, capsys, tmp_path):
+    def test_header_without_a_column_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alpha,p\n0,0.2\n2,0.6\n4,0.2\n")
-        code, out, err = run_cli(capsys, "fit", "--pdf-file", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {path}, line 1: the header has no probability column\n"
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            f"error: {path}, line 1: the header has no probability column\n",
+        )
+
+    @pytest.mark.parametrize("column", ["alpha", "probability"])
+    def test_header_naming_a_column_twice_is_rejected(self, tmp_path, column):
+        # Read as a dict, the row would keep only the last such column.
+        path = tmp_path / "twice.csv"
+        path.write_text(f"alpha,probability,{column}\n0,0.2,10\n2,0.6,12\n4,0.2,14\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            f"error: {path}, line 1: the header names the {column} column more than once\n",
+        )
 
 
 class TestSweep:
-    def test_fixed_at_rows(self, capsys):
+    def test_fixed_at_rows(self):
         code, out, _ = run_cli(
-            capsys, "--quiet", "sweep", "--mode", "fixed-at",
+            "--quiet", "sweep", "--mode", "fixed-at",
             "--at", "100", "--gc-values", "25,100,2500",
         )
         assert code == 0
@@ -430,9 +405,9 @@ class TestSweep:
         centers = [float(r["alpha0"]) for r in rows]
         assert centers == sorted(centers)
 
-    def test_flat_pdf_row_is_an_error_row(self, capsys):
+    def test_flat_pdf_row_is_an_error_row(self):
         code, out, err = run_cli(
-            capsys, "--quiet", "sweep", "--mode", "fixed-at",
+            "--quiet", "sweep", "--mode", "fixed-at",
             "--at", "3", "--gc-values", "3,5",
         )
         assert code == 0
@@ -444,9 +419,9 @@ class TestSweep:
         assert peaked["error"] == ""
         assert float(peaked["sigma"]) < 6
 
-    def test_fixed_ratio_slope_column(self, capsys):
+    def test_fixed_ratio_slope_column(self):
         code, out, _ = run_cli(
-            capsys, "--quiet", "sweep", "--mode", "fixed-ratio",
+            "--quiet", "sweep", "--mode", "fixed-ratio",
             "--ratio", "1:1", "--n-values", "80,120,160",
         )
         assert code == 0
@@ -455,9 +430,9 @@ class TestSweep:
         assert len(slopes) == 1
         assert abs(float(slopes.pop()) - 0.5) < 0.02
 
-    def test_fixed_ratio_one_repeated_length_has_no_slope(self, capsys):
+    def test_fixed_ratio_one_repeated_length_has_no_slope(self):
         code, out, err = run_cli(
-            capsys, "--quiet", "sweep", "--mode", "fixed-ratio",
+            "--quiet", "sweep", "--mode", "fixed-ratio",
             "--ratio", "6:1", "--n-values", "84,84",
         )
         assert code == 0
@@ -467,32 +442,29 @@ class TestSweep:
         assert all(r["slope"] == r["intercept"] == "" for r in rows)
         assert all(r["error"] == "" for r in rows)
 
-    def test_missing_mode_arguments_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--mode", "fixed-at")
-        assert code == 2
-        assert "--gc-values" in err
-        code, _, err = run_cli(capsys, "sweep", "--mode", "fixed-ratio", "--ratio", "2:1")
-        assert code == 2
-        code, _, err = run_cli(capsys, "sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80")
-        assert code == 2
-        assert "GC:AT" in err
+    def test_missing_mode_arguments_rejected(self):
+        assert_usage_error(run_cli("sweep", "--mode", "fixed-at"), "--gc-values")
+        result = run_cli("sweep", "--mode", "fixed-ratio", "--ratio", "2:1")
+        assert_usage_error(result, "--n-values")
+        result = run_cli("sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80")
+        assert_usage_error(result, "GC:AT")
 
 
 class TestOracleCommand:
-    def test_length_four_buckets(self, capsys):
-        code, out, _ = run_cli(capsys, "--quiet", "oracle", "--n", "4")
+    def test_length_four_buckets(self):
+        code, out, _ = run_cli("--quiet", "oracle", "--n", "4")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 6
         assert sum(int(r["count"]) for r in rows) == 6
 
-    def test_out_of_range_rejected(self, capsys):
-        assert run_cli(capsys, "oracle", "--n", "19")[0] == 2
-        assert run_cli(capsys, "oracle", "--n", "0")[0] == 2
+    def test_out_of_range_rejected(self):
+        assert_usage_error(run_cli("oracle", "--n", "19"), "1 <= n <= 18, got 19")
+        assert_usage_error(run_cli("oracle", "--n", "0"), "1 <= n <= 18, got 0")
 
-    def test_largest_length_accepted(self, capsys):
+    def test_largest_length_accepted(self):
         n = MAX_ENUMERATION_BITS
-        code, out, _ = run_cli(capsys, "--quiet", "oracle", "--n", str(n))
+        code, out, _ = run_cli("--quiet", "oracle", "--n", str(n))
         assert code == 0
         total = sum(int(r["count"]) for r in parse_csv(out))
         assert total == sum(
@@ -500,60 +472,38 @@ class TestOracleCommand:
         )
 
 
-class TestExitCodes:
-    def test_integrality_failure_maps_to_three(self, capsys, monkeypatch):
-        def boom(spec, alpha):
-            raise IntegralityError("rigged")
-
-        monkeypatch.setattr(cli, "count_necklaces", boom)
-        code, _, err = run_cli(capsys, "count", "--alpha", "2", "--at", "1", "--gc", "1")
-        assert code == 3
-        assert "integrality failure" in err
-
-
 class TestProcessBoundaryRoundTrip:
-    def test_pdf_counts_match_oracle_buckets(self, capsys):
+    def test_pdf_counts_match_oracle_buckets(self):
         # The oracle side runs in a real subprocess; the pdf side in-process.
         for n in range(1, 15):
-            proc = subprocess.run(
-                [sys.executable, "-m", "dna_necklace", "--quiet", "oracle", "--n", str(n)],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
+            proc = run_module("--quiet", "oracle", "--n", str(n))
+            assert proc.returncode == 0, proc.stderr
             buckets = {
                 (int(r["n_at"]), int(r["alpha"])): int(r["count"])
                 for r in parse_csv(proc.stdout)
             }
             for n_at in range(n + 1):
                 _, out, _ = run_cli(
-                    capsys, "--quiet", "pdf", "--at", str(n_at), "--gc", str(n - n_at)
+                    "--quiet", "pdf", "--at", str(n_at), "--gc", str(n - n_at)
                 )
                 for row in parse_csv(out):
                     expected = buckets.get((n_at, int(row["alpha"])), 0)
                     assert int(row["count"]) == expected, (n, n_at, row)
 
 
-# Prints which of numpy and scipy are loaded after importing the package
-# and, given arguments, running `cli.main` on them.
+# Prints two stderr lines: which of numpy and scipy are loaded, and which
+# modules `import dna_necklace` or, given arguments, a `python -m
+# dna_necklace --quiet ...` run added to those loaded before it: a difference
+# within one fresh process, so it holds whatever start-up (`site`) loads.
 IMPORT_PROBE = """
-import sys
-import dna_necklace
-if sys.argv[1:]:
-    from dna_necklace import cli
-    assert cli.main(["--quiet", *sys.argv[1:]]) == 0
-print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
-"""
-
-
-# Prints the modules that `import dna_necklace` or, given arguments, a
-# `python -m dna_necklace --quiet ...` run adds to those loaded before it.
-MODULES_ADDED_PROBE = """
 import atexit, runpy, sys
 before = set(sys.modules)
-atexit.register(
-    lambda: print(",".join(sorted(set(sys.modules) - before)), file=sys.stderr)
-)
+
+@atexit.register
+def report():
+    print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
+    print(",".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+
 if sys.argv[1:]:
     sys.argv[1:1] = ["--quiet"]
     runpy.run_module("dna_necklace", run_name="__main__", alter_sys=True)
@@ -564,8 +514,8 @@ else:
 
 class TestImportBoundary:
     """Counting needs neither library, Monte Carlo and the fits need numpy,
-    and nothing needs scipy.  No command that prints CSV loads the heavier
-    standard modules (json only writes JSON output)."""
+    and nothing needs scipy.  Nor does counting load the heavier standard
+    modules (json only writes JSON output)."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -587,7 +537,7 @@ class TestImportBoundary:
             text=True,
             check=True,
         )
-        assert proc.stderr.splitlines()[-1] == loaded
+        assert proc.stderr.splitlines()[-2] == loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -599,10 +549,8 @@ class TestImportBoundary:
         ],
     )
     def test_no_heavy_standard_modules(self, argv):
-        # Measured as a difference within one fresh process, so the test
-        # holds whatever the interpreter's start-up (`site`) loads itself.
         proc = subprocess.run(
-            [sys.executable, "-c", MODULES_ADDED_PROBE, *argv],
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
             capture_output=True,
             text=True,
             check=True,
@@ -677,25 +625,16 @@ _ARGV = st.tuples(
 ).map(lambda t: t[0] + t[1])
 
 
-def _run_captured(argv):
-    """(exit code, stdout, stderr) of one in-process `cli.main` run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejecting the vector
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestExitCodeContract:
     @settings(max_examples=200)
     @given(argv=_ARGV)
     def test_every_argv_exits_zero_two_or_three(self, argv):
-        code, out, err = _run_captured(argv)
+        code, out, err = result = run_cli(*argv)
         assert code in (0, 2, 3), (argv, (out + err)[-500:])
+        if code == 2 and not err.startswith("usage: "):  # not argparse's text
+            assert_usage_error(result, "")
         # Identical invocations give byte-identical output.
-        assert _run_captured(argv)[:2] == (code, out), argv
+        assert run_cli(*argv)[:2] == (code, out), argv
 
 
 # Cell values that a --pdf-file row must be rejected for, or that test a
@@ -749,9 +688,12 @@ class TestPdfFileFuzz:
         argv = ["--quiet", "fit", "--pdf-file", str(path), "--format", table]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would be a second line
-            code, out, err = _run_captured(argv)
-            again = _run_captured(argv)
+            result = run_cli(*argv)
+            again = run_cli(*argv)
+        code, out, err = result
         assert code in (0, 2), (text, err)
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == (code == 2) and err.count("\n") == len(errors), err
-        assert again == (code, out, err)
+        if code == 2:
+            assert_usage_error(result, "")
+        else:
+            assert err == "", err
+        assert again == result

@@ -16,6 +16,7 @@ from dna_necklace.counting import (
 from dna_necklace.oracle import enumerate_all
 from reference.cycle_index import count_orbits, dihedral_bipartite_index, divisors
 from reference.cycle_index import totient as totient_by_definition
+from cli_harness import run_cli
 
 
 def total_count(spec):
@@ -27,6 +28,42 @@ def rig_comb(monkeypatch, n, k):
     """Make the counting kernels read C(n, k) one higher than it is."""
     real = counting.comb
     monkeypatch.setattr(counting, "comb", lambda a, b: real(a, b) + ((a, b) == (n, k)))
+
+
+def raise_from_cli_count(monkeypatch):
+    def boom(spec, alpha):
+        raise IntegralityError("rigged")
+
+    monkeypatch.setattr(cli, "count_necklaces", boom)
+
+
+@pytest.mark.parametrize(
+    "rig, argv",
+    [
+        # C(7, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
+        (lambda mp: rig_comb(mp, 7, 4), ["count", "--alpha", "10", "--at", "8", "--gc", "6"]),
+        # phi(2) read as 2 leaves 25 fixed points over 2M = 4.
+        (
+            lambda mp: mp.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1),
+            ["count", "--alpha", "4", "--at", "4", "--gc", "6"],
+        ),
+        # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
+        # total does too; reading C(7499, 3749) one higher adds an odd
+        # number of fixed points over 2M = 7500.
+        (
+            lambda mp: rig_comb(mp, 7499, 3749),
+            ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"],
+        ),
+        (raise_from_cli_count, ["count", "--alpha", "2", "--at", "1", "--gc", "1"]),
+    ],
+    ids=["identity-comb", "totient-at-two", "past-digit-limit", "cli-count-raises"],
+)
+def test_integrality_failure_exits_three(monkeypatch, rig, argv):
+    rig(monkeypatch)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, ""), err
+    assert err.startswith("integrality failure: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err and "Exceeds the limit" not in err
 
 
 @st.composite
@@ -118,15 +155,6 @@ class TestClosedFormKernel:
         with pytest.raises(IntegralityError, match="not divisible"):
             count_necklaces(NecklaceSpec(8, 6), 10)
 
-    def test_non_divisible_total_maps_to_exit_three(self, monkeypatch, capsys):
-        rig_comb(monkeypatch, 7, 4)
-        code = cli.main(["count", "--alpha", "10", "--at", "8", "--gc", "6"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "integrality failure" in captured.err
-        assert "Traceback" not in captured.err
-
     def test_non_divisible_rotation_sum_raises(self, monkeypatch):
         # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
         # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
@@ -164,33 +192,6 @@ class TestClosedFormKernel:
         assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
             dihedral_bipartite_index(m), n_at, n_gc
         )
-
-    def test_non_divisible_total_past_digit_limit_maps_to_exit_three(
-        self, monkeypatch, capsys
-    ):
-        # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
-        # total in the message does too; reading C(7499, 3749) one higher
-        # adds an odd number of fixed points over 2M = 7500.
-        rig_comb(monkeypatch, 7499, 3749)
-        code = cli.main(
-            ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"]
-        )
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "integrality failure" in captured.err
-        assert "Exceeds the limit" not in captured.err
-
-    def test_non_divisible_rotation_sum_maps_to_exit_three(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1)
-        code = cli.main(["count", "--alpha", "4", "--at", "4", "--gc", "6"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "integrality failure" in captured.err
-        assert "Traceback" not in captured.err
 
 
 class TestCountNecklaces:
@@ -250,14 +251,6 @@ class TestZeroAlternationCount:
     def test_mixed_content_forces_alternations(self):
         assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
 
-    def test_matches_enumeration_for_every_content(self):
-        for n in range(1, 15):
-            buckets = enumerate_all(n)
-            for n_at in range(n + 1):
-                spec = NecklaceSpec(n_at, n - n_at)
-                expected = buckets.get((n_at, 0), 0)
-                assert count_necklaces(spec, 0) == expected, spec
-
 
 class TestAlternationDistribution:
     def test_known_small_distributions(self):
@@ -269,20 +262,6 @@ class TestAlternationDistribution:
         for a, b in [(3, 9), (7, 7), (0, 5), (10, 2)]:
             dist = alternation_distribution(NecklaceSpec(a, b))
             assert sorted(dist) == list(range(0, 2 * min(a, b) + 1, 2))
-
-    def test_matches_enumeration_exhaustively(self):
-        for n in range(1, 11):
-            buckets = enumerate_all(n)
-            for n_at in range(n + 1):
-                dist = alternation_distribution(NecklaceSpec(n_at, n - n_at))
-                observed = {
-                    alpha: count
-                    for (whites, alpha), count in buckets.items()
-                    if whites == n_at
-                }
-                for alpha, count in dist.items():
-                    assert count == observed.get(alpha, 0), (n, n_at, alpha)
-                assert set(observed) <= set(dist)
 
 
 class TestTotals:

@@ -5,7 +5,8 @@ return; `<name>.out` holds the exact stdout it must write.  The corpus
 covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
 rejected invocations and one count past the interpreter's 4 300-digit
-`str(int)` limit.  The cases run in process through `cli.main`.
+`str(int)` limit.  The cases run in process through `cli.main`; a
+rejected one must also meet the one-line `error:` contract.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:
@@ -18,15 +19,17 @@ from pathlib import Path
 
 import pytest
 
-from dna_necklace import cli
+from cli_harness import assert_usage_error, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, capsys):
+def test_cli_output_matches_golden(name):
     case = CASES[name]
-    code = cli.main(list(case["argv"]))
+    code, out, err = result = run_cli(*case["argv"])
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    assert (code, capsys.readouterr().out) == (case["exit"], expected)
+    assert (code, out) == (case["exit"], expected)
+    if code == 2:
+        assert_usage_error(result, "")

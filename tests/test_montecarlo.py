@@ -109,6 +109,13 @@ class TestEmpiricalPdf:
         config = MCConfig(NecklaceSpec(30, 20), runs=5000, seed=99)
         assert empirical_pdf(config, 0).entries != empirical_pdf(config, 1).entries
 
+    @pytest.mark.parametrize("set_index", [2, 5, -1])
+    def test_set_index_outside_the_sets_rejected(self, monkeypatch, set_index):
+        monkeypatch.setattr(montecarlo, "_run_set", None)  # nothing is sampled
+        config = MCConfig(NecklaceSpec(3, 4), runs=10, seed=1, sets=2)
+        with pytest.raises(ValueError, match=rf"must be in range\(2\), got {set_index}$"):
+            empirical_pdf(config, set_index)
+
     def test_pinned_seed_regression_distance(self):
         # Regression value frozen at the first run with this seed: the
         # 20000-run histogram sits well inside d < 0.1 of the exact pdf.
