@@ -4,8 +4,10 @@ Two circular chains count as the same necklace when one is a rotation or
 reflection of the other.  Counts here are class-uniform: each distinct
 necklace contributes once, however many raw chains fold onto it.  The
 Monte Carlo sampler in `montecarlo` is chain-uniform instead (every
-arrangement equally likely); at the sizes studied the two weightings agree
-to well within sampling noise, but they are not identical measures.
+arrangement equally likely).  The two are not identical measures: for
+balanced chains the L1 distance between the pdfs, in exact arithmetic, is
+0.116 at (6, 6), 0.0143 at (10, 10), 2.9e-5 at (20, 20) and 6.7e-14 at
+(50, 50).
 
 Production counts come from a closed-form integer Burnside sum over the
 dihedral group acting on the 2M containers (`count_necklaces`).  The

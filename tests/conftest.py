@@ -12,12 +12,17 @@ working tree.
 The tests that start ``python -m dna_necklace`` in a child process pass it
 the ``pythonpath`` entries of ``pyproject.toml`` through ``PYTHONPATH``,
 so a checkout runs the suite without installing the package.
+
+The ``pytester`` plugin lets a test run the repository's own pytest
+settings on a throwaway suite in a child process.
 """
 
 import os
 import tempfile
 
 from hypothesis import settings
+
+pytest_plugins = ["pytester"]
 
 settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None

@@ -37,18 +37,6 @@ def int_digit_limit(limit):
 
 
 class TestCount:
-    def test_worked_example_quiet(self):
-        code, out, _ = run_cli("--quiet", "count", "--alpha", "10", "--at", "8", "--gc", "6")
-        assert code == 0
-        assert out == "19\n"
-
-    def test_parameter_echo_by_default(self):
-        code, out, _ = run_cli("count", "--alpha", "2", "--at", "1", "--gc", "1")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "# command: count"
-        assert lines[-1] == "1"
-
     def test_odd_alpha_rejected(self):
         result = run_cli("count", "--alpha", "3", "--at", "5", "--gc", "5")
         assert_usage_error(result, "must be even")
@@ -71,38 +59,6 @@ class TestCount:
 
 
 class TestPdf:
-    def test_small_table_exact(self):
-        code, out, _ = run_cli("--quiet", "pdf", "--at", "2", "--gc", "2")
-        assert code == 0
-        assert out == "alpha,count,probability\n0,0,0\n2,1,0.5\n4,1,0.5\n"
-
-    def test_homogeneous_single_row(self):
-        code, out, _ = run_cli("--quiet", "pdf", "--at", "0", "--gc", "4")
-        assert code == 0
-        assert out == "alpha,count,probability\n0,1,1\n"
-
-    def test_balanced_hundred_bead_support(self):
-        code, out, _ = run_cli("--quiet", "pdf", "--at", "50", "--gc", "50")
-        assert code == 0
-        rows = parse_csv(out)
-        assert [int(r["alpha"]) for r in rows] == list(range(0, 101, 2))
-        # counts must be plain decimal strings, never float-rendered
-        for row in rows:
-            assert set(row["count"]) <= set("0123456789")
-        assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-12
-
-    def test_json_mirrors_csv(self):
-        code, out, _ = run_cli("pdf", "--at", "2", "--gc", "2", "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["command"] == "pdf"
-        assert doc["parameters"] == {"at": 2, "gc": 2}
-        assert doc["rows"][1] == {"alpha": 2, "count": "1", "probability": 0.5}
-
-    def test_quiet_json_drops_parameters(self):
-        _, out, _ = run_cli("--quiet", "pdf", "--at", "2", "--gc", "2", "--format", "json")
-        assert "parameters" not in json.loads(out)
-
     def test_counts_past_digit_limit(self):
         # The peak count of (2500, 50000) has 4 357 digits.
         limit = sys.get_int_max_str_digits()
@@ -155,50 +111,12 @@ class TestPdf:
 
 
 class TestMc:
-    def test_forced_distribution(self):
-        code, out, _ = run_cli(
-            "--quiet", "mc", "--at", "1", "--gc", "1",
-            "--runs", "100", "--seed", "7", "--sets", "2",
-        )
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 2
-        for row in rows:
-            assert int(row["alpha"]) == 2
-            assert float(row["frequency"]) == 1.0
-            assert float(row["d"]) == 0.0
-
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ("mc", "--at", "20", "--gc", "30", "--runs", "500", "--seed", "11")
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(*args, "--out", str(first))
-        run_cli(*args, "--out", str(second))
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_subseeds_rederive_rows(self):
-        _, out, _ = run_cli(
-            "--quiet", "mc", "--at", "10", "--gc", "10",
-            "--runs", "200", "--seed", "5", "--sets", "2",
-        )
-        rows = parse_csv(out)
-        from dna_necklace.montecarlo import derive_subseed
-
-        subseeds = sorted({row["sub_seed"] for row in rows})
-        assert subseeds == sorted(str(derive_subseed(5, i)) for i in range(2))
-
     def test_zero_runs_rejected(self):
         result = run_cli("mc", "--at", "2", "--gc", "2", "--runs", "0")
         assert_usage_error(result, "runs must be >= 1")
 
 
 class TestFit:
-    def test_balanced_hundred_bead_fit(self):
-        code, out, _ = run_cli("--quiet", "fit", "--at", "50", "--gc", "50")
-        assert code == 0
-        row = parse_csv(out)[0]
-        assert 50.3 <= float(row["alpha0"]) <= 50.7
-        assert 4.9 <= float(row["sigma"]) <= 5.3
-
     def test_tiny_support_rejected(self):
         assert_usage_error(run_cli("fit", "--at", "1", "--gc", "1"), "support too small")
 
@@ -393,18 +311,6 @@ class TestFit:
 
 
 class TestSweep:
-    def test_fixed_at_rows(self):
-        code, out, _ = run_cli(
-            "--quiet", "sweep", "--mode", "fixed-at",
-            "--at", "100", "--gc-values", "25,100,2500",
-        )
-        assert code == 0
-        rows = parse_csv(out)
-        assert [int(r["n_gc"]) for r in rows] == [25, 100, 2500]
-        assert all(r["error"] == "" for r in rows)
-        centers = [float(r["alpha0"]) for r in rows]
-        assert centers == sorted(centers)
-
     def test_flat_pdf_row_is_an_error_row(self):
         code, out, err = run_cli(
             "--quiet", "sweep", "--mode", "fixed-at",
@@ -419,29 +325,6 @@ class TestSweep:
         assert peaked["error"] == ""
         assert float(peaked["sigma"]) < 6
 
-    def test_fixed_ratio_slope_column(self):
-        code, out, _ = run_cli(
-            "--quiet", "sweep", "--mode", "fixed-ratio",
-            "--ratio", "1:1", "--n-values", "80,120,160",
-        )
-        assert code == 0
-        rows = parse_csv(out)
-        slopes = {r["slope"] for r in rows}
-        assert len(slopes) == 1
-        assert abs(float(slopes.pop()) - 0.5) < 0.02
-
-    def test_fixed_ratio_one_repeated_length_has_no_slope(self):
-        code, out, err = run_cli(
-            "--quiet", "sweep", "--mode", "fixed-ratio",
-            "--ratio", "6:1", "--n-values", "84,84",
-        )
-        assert code == 0
-        assert err == ""
-        rows = parse_csv(out)
-        assert len(rows) == 2
-        assert all(r["slope"] == r["intercept"] == "" for r in rows)
-        assert all(r["error"] == "" for r in rows)
-
     def test_missing_mode_arguments_rejected(self):
         assert_usage_error(run_cli("sweep", "--mode", "fixed-at"), "--gc-values")
         result = run_cli("sweep", "--mode", "fixed-ratio", "--ratio", "2:1")
@@ -451,13 +334,6 @@ class TestSweep:
 
 
 class TestOracleCommand:
-    def test_length_four_buckets(self):
-        code, out, _ = run_cli("--quiet", "oracle", "--n", "4")
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 6
-        assert sum(int(r["count"]) for r in rows) == 6
-
     def test_out_of_range_rejected(self):
         assert_usage_error(run_cli("oracle", "--n", "19"), "1 <= n <= 18, got 19")
         assert_usage_error(run_cli("oracle", "--n", "0"), "1 <= n <= 18, got 0")
@@ -470,25 +346,6 @@ class TestOracleCommand:
         assert total == sum(
             bracelet_count_direct(NecklaceSpec(k, n - k)) for k in range(n + 1)
         )
-
-
-class TestProcessBoundaryRoundTrip:
-    def test_pdf_counts_match_oracle_buckets(self):
-        # The oracle side runs in a real subprocess; the pdf side in-process.
-        for n in range(1, 15):
-            proc = run_module("--quiet", "oracle", "--n", str(n))
-            assert proc.returncode == 0, proc.stderr
-            buckets = {
-                (int(r["n_at"]), int(r["alpha"])): int(r["count"])
-                for r in parse_csv(proc.stdout)
-            }
-            for n_at in range(n + 1):
-                _, out, _ = run_cli(
-                    "--quiet", "pdf", "--at", str(n_at), "--gc", str(n - n_at)
-                )
-                for row in parse_csv(out):
-                    expected = buckets.get((n_at, int(row["alpha"])), 0)
-                    assert int(row["count"]) == expected, (n, n_at, row)
 
 
 # Prints two stderr lines: which of numpy and scipy are loaded, and which

@@ -217,9 +217,6 @@ class TestProductWeightCoeff:
                     got = product_weight_coeff(r, [(a1, b1), (a2, b2)])
                     assert got == reference[r], (r, (a1, b1), (a2, b2))
 
-    def test_known_two_factor_value(self):
-        assert product_weight_coeff(8, [(1, 1), (2, 2)]) == 3
-
     def test_known_values(self):
         assert product_weight_coeff(6, [(1, 1), (2, 2)]) == 1
         assert product_weight_coeff(8, [(1, 1), (2, 2)]) == 3

@@ -6,7 +6,8 @@ covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
 rejected invocations and one count past the interpreter's 4 300-digit
 `str(int)` limit.  The cases run in process through `cli.main`; a
-rejected one must also meet the one-line `error:` contract.
+rejected one must also meet the one-line `error:` contract, and every
+other one must write nothing to stderr.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:
@@ -33,3 +34,5 @@ def test_cli_output_matches_golden(name):
     assert (code, out) == (case["exit"], expected)
     if code == 2:
         assert_usage_error(result, "")
+    else:
+        assert err == "", err
