@@ -8,6 +8,10 @@ the CSV columns with a "parameters" object instead.  Identical invocations
 
 Exit codes: 0 success, 2 usage or validation error, 3 internal
 integrality failure (a correctness bug, not a user error).
+
+`entrypoint` flushes the output and ends the process with ``os._exit``,
+skipping interpreter teardown, so ``atexit`` handlers do not run there;
+`main` returns its exit code as usual.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import re
 import sys
 
@@ -98,6 +103,8 @@ def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif sys.stdout is None:  # started with file descriptor 1 closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -412,4 +419,17 @@ def _report(kind: str, exc: Exception) -> None:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run `main` and end the process without interpreter teardown.
+
+    Tearing down the loaded modules (numpy, for the fits and Monte Carlo)
+    costs milliseconds after the output is already written.  A flush that
+    fails takes the normal exit, whose shutdown reports the failed write.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

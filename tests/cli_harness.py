@@ -3,6 +3,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -20,10 +21,20 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env():
+    """The environment for a child process.  PYTHONUNBUFFERED is dropped,
+    so that a piped stdout is block-buffered as on a user's pipe, and
+    output the program fails to flush is lost."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
 def run_module(*argv):
     """The completed ``python -m dna_necklace`` child process."""
     return subprocess.run(
-        [sys.executable, "-m", "dna_necklace", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "dna_necklace", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
     )
 
 

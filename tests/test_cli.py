@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import json
@@ -5,11 +6,13 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dna_necklace import cli
 from dna_necklace.counting import (
     NecklaceSpec,
     alternation_distribution,
@@ -17,7 +20,7 @@ from dna_necklace.counting import (
     count_necklaces,
 )
 from dna_necklace.oracle import MAX_ENUMERATION_BITS
-from cli_harness import assert_usage_error, run_cli, run_module
+from cli_harness import assert_usage_error, child_env, run_cli, run_module
 
 
 def parse_csv(text):
@@ -352,14 +355,25 @@ class TestOracleCommand:
 # modules `import dna_necklace` or, given arguments, a `python -m
 # dna_necklace --quiet ...` run added to those loaded before it: a difference
 # within one fresh process, so it holds whatever start-up (`site`) loads.
+# The run ends in `os._exit`, which skips `atexit` handlers, so the probe
+# reports from a wrapper around it too.
 IMPORT_PROBE = """
-import atexit, runpy, sys
+import atexit, os, runpy, sys
 before = set(sys.modules)
 
 @atexit.register
 def report():
     print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
     print(",".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+    sys.stderr.flush()
+
+hard_exit = os._exit
+
+def _exit(code):
+    report()
+    hard_exit(code)
+
+os._exit = _exit
 
 if sys.argv[1:]:
     sys.argv[1:1] = ["--quiet"]
@@ -416,6 +430,102 @@ class TestImportBoundary:
         assert "dna_necklace" in added
         heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing", "json"}
         assert added & heavy == set()
+
+
+SMALL_COUNT = ["count", "--alpha", "26", "--at", "21", "--gc", "64"]
+# 78 520 bytes: more than a pipe holds (64 KiB on Linux).
+LARGE_PDF = ["--quiet", "pdf", "--at", "400", "--gc", "400"]
+
+# Runs `cli.entrypoint` with the count rigged to fail integrality.
+RIGGED_ENTRYPOINT = """
+from dna_necklace import cli
+from dna_necklace.counting import IntegralityError
+
+def count_necklaces(spec, alpha):
+    raise IntegralityError("rigged")
+
+cli.count_necklaces = count_necklaces
+cli.entrypoint()
+"""
+
+
+class TestEntrypoint:
+    """A `python -m dna_necklace` process ends in `cli.entrypoint`, which
+    flushes the output and then calls `os._exit`."""
+
+    @pytest.mark.parametrize("argv", [SMALL_COUNT, LARGE_PDF], ids=["count", "pdf"])
+    def test_output_survives_the_exit(self, argv):
+        _, expected, _ = run_cli(*argv)
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    def test_out_file_survives_the_exit(self, tmp_path):
+        path = tmp_path / "pdf.csv"
+        proc = run_module(*LARGE_PDF, "--out", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert path.read_bytes() == run_cli(*LARGE_PDF)[1].encode()
+
+    def test_closed_pipe_is_a_usage_error(self):
+        # The output is larger than a pipe holds, so the write fails
+        # whether it starts before or after the reader closes its end.
+        with subprocess.Popen(
+            [sys.executable, "-m", "dna_necklace", *LARGE_PDF],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert_usage_error((proc.returncode, "", err), "error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout_is_a_usage_error(self):
+        # The shell closes file descriptor 1 before it starts the child.
+        close_stdout = ["sh", "-c", 'exec "$@" >&-', "sh"]
+        proc = subprocess.run(
+            [*close_stdout, sys.executable, "-m", "dna_necklace", *SMALL_COUNT],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+        assert_usage_error((proc.returncode, "", proc.stderr), "standard output is closed")
+
+    def test_integrality_failure_exits_three(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", RIGGED_ENTRYPOINT, *SMALL_COUNT],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "integrality failure: rigged\n"
+        )
+
+    def test_only_the_entrypoint_ends_the_process(self):
+        # `os._exit` skips its caller's cleanup and unflushed output, so no
+        # library code may call it.  Each `_exit` named in the package, by
+        # attribute, name or import, with the functions around it:
+        places = []
+        for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for node in ast.walk(tree):
+                name = (
+                    node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias)
+                    else None
+                )
+                if name == "_exit":
+                    enclosing = [
+                        f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno
+                    ]
+                    places.append((path.name, *enclosing))
+        assert places == [("cli.py", "entrypoint")]
 
 
 def _command(name, required=(), optional=()):
