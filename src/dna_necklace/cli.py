@@ -11,7 +11,8 @@ integrality failure (a correctness bug, not a user error).
 
 `entrypoint` flushes the output and ends the process with ``os._exit``,
 skipping interpreter teardown, so ``atexit`` handlers do not run there;
-`main` returns its exit code as usual.
+a flush that fails there exits 2 with one ``error:`` line.  `main`
+returns its exit code as usual.
 """
 
 from __future__ import annotations
@@ -422,14 +423,19 @@ def entrypoint() -> None:
     """Run `main` and end the process without interpreter teardown.
 
     Tearing down the loaded modules (numpy, for the fits and Monte Carlo)
-    costs milliseconds after the output is already written.  A flush that
-    fails takes the normal exit, whose shutdown reports the failed write.
+    costs milliseconds after the output is already written.  A final
+    flush that fails (a closed pipe, a full disk) is a usage error,
+    reported like any other; a failure to write that report is ignored.
     """
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        code = USAGE_ERROR
+        try:
+            _report("error", exc)
+        except OSError:
+            pass
     os._exit(code)

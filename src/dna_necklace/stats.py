@@ -16,10 +16,11 @@ class DiscretePdf(
 ):
     """Probability distribution over even alternation counts.
 
-    `provenance` is "theoretical" (exact counts normalized) or "empirical"
-    (Monte Carlo frequencies).  Theoretical pdfs carry the full support
-    {0, 2, ..., 2*min(n_at, n_gc)} including zero-probability entries;
-    empirical ones carry only observed values.
+    `provenance` is "theoretical" (exact counts normalized), "empirical"
+    (Monte Carlo frequencies) or "file" (read by `fit --pdf-file`).
+    Theoretical pdfs carry the full support {0, 2, ..., 2*min(n_at, n_gc)}
+    including zero-probability entries; empirical ones carry only observed
+    values.
     """
 
     __slots__ = ()

@@ -28,11 +28,14 @@ def child_env():
     return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
 
 
-def run_module(*argv):
-    """The completed ``python -m dna_necklace`` child process."""
+def run_module(*argv, stdout=subprocess.PIPE):
+    """The completed ``python -m dna_necklace`` child process, its stdout
+    captured unless `stdout` names another target (a file descriptor or
+    file object)."""
     return subprocess.run(
         [sys.executable, "-m", "dna_necklace", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
     )
@@ -40,9 +43,10 @@ def run_module(*argv):
 
 def assert_usage_error(result, fragment):
     """`result` (a `run_cli` triple or a `run_module` process) took the
-    exit-2 path of `cli.main`, with `fragment` in its one stderr line."""
+    exit-2 path of `cli.main`, with `fragment` in its one stderr line.
+    A child whose stdout was not captured counts as writing nothing."""
     if isinstance(result, subprocess.CompletedProcess):
-        result = result.returncode, result.stdout, result.stderr
+        result = result.returncode, result.stdout or "", result.stderr
     code, out, err = result
     assert (code, out) == (2, ""), result
     assert err.startswith("error: ") and err.endswith("\n"), err

@@ -18,7 +18,9 @@ r >= a*b, else 0.
 with integers only.  This module is the independent reference the tests
 check it against, so it shares no arithmetic with it (even Euler's phi is
 its own, from the definition), and it is only as general as those
-comparisons need.
+comparisons need: it does not validate inputs that they never pass
+(M or n below 1, negative bead counts, indices or powers, strides
+below 1).
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ class BipartiteCycleIndex:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order, including 1 and n."""
-    if n <= 0:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
 
@@ -76,8 +76,6 @@ def dihedral_bipartite_index(m: int) -> BipartiteCycleIndex:
     color-swapped term.  Terms with equal monomials (only at M = 1) are
     left unmerged: the substitution is linear in the terms.
     """
-    if m <= 0:
-        raise ValueError(f"container count must be >= 1, got {m}")
     terms = [
         CycleTerm(Fraction(totient(d), 2 * m), ((d, m // d),), ((d, m // d),))
         for d in divisors(m)
@@ -96,12 +94,6 @@ def dihedral_bipartite_index(m: int) -> BipartiteCycleIndex:
 def weight_coeff(r: int, factor: tuple[int, int]) -> int:
     """Coefficient of x^r in f(x^stride)^power; power 0 is the constant 1."""
     stride, power = factor
-    if r < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {r}")
-    if power < 0:
-        raise ValueError(f"series power must be >= 0, got {power}")
-    if stride < 0 or (power >= 1 and stride < 1):
-        raise ValueError(f"series stride must be >= 1, or 0 at power 0, got {stride}")
     if power == 0:
         return 1 if r == 0 else 0
     if r % stride != 0 or r < stride * power:
@@ -117,8 +109,6 @@ def product_weight_coeff(r: int, factors: Monomial) -> int:
     convolution of closed forms.  A third factor raises ValueError rather
     than being folded in.  The empty product is the constant series 1.
     """
-    if r < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {r}")
     if len(factors) > 2:
         raise ValueError(f"at most two series factors, got {len(factors)}")
     if len(factors) < 2:
@@ -138,8 +128,6 @@ def count_orbits(index: BipartiteCycleIndex, n_at: int, n_gc: int) -> int:
     ``product_weight_coeff`` extractions.  The rational accumulation is
     exact; a non-integer total raises IntegralityError.
     """
-    if n_at < 0 or n_gc < 0:
-        raise ValueError(f"bead counts must be >= 0, got ({n_at}, {n_gc})")
     total = Fraction(0)
     for term in index.terms:
         cx = product_weight_coeff(n_at, term.x_cycles)

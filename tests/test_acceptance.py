@@ -11,15 +11,13 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-import numpy as np
-
 from dna_necklace.counting import (
     NecklaceSpec,
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
 )
-from dna_necklace.montecarlo import MCConfig, convergence_study, empirical_pdf, sample_chains
+from dna_necklace.montecarlo import convergence_study
 from dna_necklace.oracle import canonical_form, count_alternations, enumerate_all
 from dna_necklace.stats import (
     fit_gaussian,
@@ -27,7 +25,6 @@ from dna_necklace.stats import (
     sweep_fixed_ratio,
     theoretical_pdf,
 )
-from reference.cycle_index import dihedral_bipartite_index, weight_coeff
 from cli_harness import run_cli
 
 
@@ -170,46 +167,3 @@ def test_criterion_8_fixed_at_sweep_shape():
         centers = [row.fit.alpha0 for row in rows]
         assert all(centers[i] < centers[i + 1] for i in range(len(centers) - 1))
         assert all(center < 200 for center in centers)
-
-
-def test_criterion_9_property_suites():
-    with criterion(9, "module property suites", 120.0):
-        # Series closed form vs truncated expansion.
-        for a in range(1, 6):
-            for b in range(0, 6):
-                series = [0] * 26
-                series[0] = 1
-                for _ in range(b):
-                    step = [0] * 26
-                    for i in range(26):
-                        if series[i]:
-                            for j in range(a, 26 - i, a):
-                                step[i + j] += series[i]
-                    series = step
-                for r in range(26):
-                    assert weight_coeff(r, (a, b)) == series[r]
-        # Cycle index coefficients sum to one; terms permute M containers.
-        for m in range(1, 101):
-            index = dihedral_bipartite_index(m)
-            assert sum(t.coeff for t in index.terms) == 1
-            for term in index.terms:
-                assert sum(d * e for d, e in term.x_cycles) == m
-                assert sum(d * e for d, e in term.y_cycles) == m
-        # Distribution parity and color symmetry.
-        for a, b in [(6, 9), (7, 7), (12, 5)]:
-            dist = alternation_distribution(NecklaceSpec(a, b))
-            assert sorted(dist) == list(range(0, 2 * min(a, b) + 1, 2))
-            assert dist == alternation_distribution(NecklaceSpec(b, a))
-        # Canonicalization idempotence.
-        for value in range(2**8):
-            s = format(value, "08b")
-            assert canonical_form(canonical_form(s)) == canonical_form(s)
-        # MC determinism and content conservation.
-        config = MCConfig(NecklaceSpec(30, 20), runs=2000, seed=77)
-        assert empirical_pdf(config).entries == empirical_pdf(config).entries
-        chains = sample_chains(NecklaceSpec(30, 20), 500, np.random.default_rng(1))
-        assert (chains.sum(axis=1) == 30).all()
-        # Pdf normalization.
-        for a, b in [(50, 50), (40, 60), (100, 25)]:
-            pdf = theoretical_pdf(NecklaceSpec(a, b))
-            assert abs(sum(pdf.entries.values()) - 1.0) < 1e-12

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -62,19 +63,6 @@ class TestCount:
 
 
 class TestPdf:
-    def test_counts_past_digit_limit(self):
-        # The peak count of (2500, 50000) has 4 357 digits.
-        limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli("--quiet", "pdf", "--at", "2500", "--gc", "50000")
-        assert (code, err) == (0, "")
-        assert sys.get_int_max_str_digits() == limit
-        long_rows = [row for row in parse_csv(out) if len(row["count"]) > limit]
-        assert long_rows
-        with int_digit_limit(0):
-            for row in long_rows:
-                count = count_necklaces(NecklaceSpec(2500, 50000), int(row["alpha"]))
-                assert int(row["count"]) == count, row["alpha"]
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -465,19 +453,24 @@ class TestEntrypoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         assert path.read_bytes() == run_cli(*LARGE_PDF)[1].encode()
 
-    def test_closed_pipe_is_a_usage_error(self):
-        # The output is larger than a pipe holds, so the write fails
-        # whether it starts before or after the reader closes its end.
-        with subprocess.Popen(
-            [sys.executable, "-m", "dna_necklace", *LARGE_PDF],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=child_env(),
-        ) as proc:
-            proc.stdout.close()
-            err = proc.stderr.read()
-        assert_usage_error((proc.returncode, "", err), "error: [Errno 32] Broken pipe\n")
+    @pytest.mark.parametrize("argv", [SMALL_COUNT, LARGE_PDF], ids=["count", "pdf"])
+    def test_closed_pipe_is_a_usage_error(self, argv):
+        # The reader closes its end before the child starts.  The small
+        # count fails at the final flush, the pdf while it is written.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_usage_error(proc, "error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_is_a_usage_error(self):
+        # Every write to /dev/full fails, here at the final flush.
+        with open("/dev/full", "w") as full:
+            proc = run_module(*SMALL_COUNT, stdout=full)
+        assert_usage_error(proc, "error: [Errno 28] No space left on device\n")
 
     def test_closed_stdout_is_a_usage_error(self):
         # The shell closes file descriptor 1 before it starts the child.
@@ -488,7 +481,7 @@ class TestEntrypoint:
             text=True,
             env=child_env(),
         )
-        assert_usage_error((proc.returncode, "", proc.stderr), "standard output is closed")
+        assert_usage_error(proc, "standard output is closed")
 
     def test_integrality_failure_exits_three(self):
         proc = subprocess.run(

@@ -65,6 +65,29 @@ def test_integrality_failure_exits_three(monkeypatch, rig, argv):
     assert "Traceback" not in err and "Exceeds the limit" not in err
 
 
+def every_query(contents):
+    """(M, n_at, n_gc) for every M in the support of each (n_at, n_gc)."""
+    return [(m, a, b) for a, b in contents for m in range(1, min(a, b) + 1)]
+
+
+# The queries on which the kernel is compared with the cycle-index route.
+KERNEL_QUERIES = {
+    "every-small-query": every_query(
+        (n_at, n - n_at) for n in range(2, 41) for n_at in range(1, n)
+    ),
+    # gcd(M, n_at, n_gc) = M, with 12 to 24 divisors, each of whose
+    # rotations fixes some assignments.
+    "many-divisors": [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)],
+    # The even-M reflection term through each parity class of (n_at, n_gc):
+    # even/even, odd/even, even/odd, odd/odd.
+    "parity-classes": [(24, 100, 90), (24, 101, 90), (24, 100, 91), (24, 101, 91)],
+    # Contents at which rotations past the identity contribute, every M.
+    "rotation-contents": every_query(
+        [(4, 6), (6, 12), (12, 18), (24, 24), (36, 24), (30, 45)]
+    ),
+}
+
+
 @st.composite
 def container_queries(draw, max_total=200):
     """(M, n_at, n_gc) with both colors present, N <= max_total, M in support."""
@@ -75,12 +98,6 @@ def container_queries(draw, max_total=200):
 
 
 class TestNecklaceSpec:
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            NecklaceSpec(0, 0)
-        with pytest.raises(ValueError):
-            NecklaceSpec(-1, 4)
-
     def test_derived_quantities(self):
         spec = NecklaceSpec(8, 6)
         assert spec.total == 14
@@ -92,10 +109,10 @@ class TestNecklaceCount:
         assert count_necklaces(NecklaceSpec(2, 1), 2) == 1
 
     def test_color_symmetry(self):
-        for a, b, m in [(8, 6, 5), (9, 4, 3), (12, 7, 6), (5, 5, 2)]:
-            assert count_necklaces(NecklaceSpec(a, b), 2 * m) == count_necklaces(
-                NecklaceSpec(b, a), 2 * m
-            )
+        for a, b in [(8, 6), (9, 4), (12, 7), (5, 5), (6, 9), (12, 5)]:
+            assert alternation_distribution(NecklaceSpec(a, b)) == (
+                alternation_distribution(NecklaceSpec(b, a))
+            ), (a, b)
 
     def test_support_is_exactly_one_to_min(self):
         for a in range(1, 11):
@@ -119,23 +136,12 @@ class TestClosedFormKernel:
             dihedral_bipartite_index(m), n_at, n_gc
         )
 
-    def test_matches_cycle_index_route_for_every_small_query(self):
-        for n in range(2, 41):
-            for n_at in range(1, n):
-                spec = NecklaceSpec(n_at, n - n_at)
-                for m in range(1, min(spec.n_at, spec.n_gc) + 1):
-                    assert count_necklaces(spec, 2 * m) == count_orbits(
-                        dihedral_bipartite_index(m), spec.n_at, spec.n_gc
-                    ), (m, spec)
-
-    def test_long_chain_totals_match_bead_burnside(self):
-        for spec in [
-            NecklaceSpec(500, 500),
-            NecklaceSpec(700, 1400),
-            NecklaceSpec(1201, 1200),
-            NecklaceSpec(429, 2571),
-        ]:
-            assert total_count(spec) == bracelet_count_direct(spec), spec
+    @pytest.mark.parametrize("group", list(KERNEL_QUERIES))
+    def test_matches_cycle_index_route_for_query_group(self, group):
+        for m, n_at, n_gc in KERNEL_QUERIES[group]:
+            assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
+                dihedral_bipartite_index(m), n_at, n_gc
+            ), (m, n_at, n_gc)
 
     def test_non_divisible_total_raises(self, monkeypatch):
         # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
@@ -161,33 +167,12 @@ class TestClosedFormKernel:
         with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
             count_necklaces(NecklaceSpec(6, 12), 12)
 
-    @pytest.mark.parametrize(
-        "m, n_at, n_gc",
-        [
-            (60, 120, 240),
-            (72, 144, 216),
-            (120, 240, 360),
-            (360, 720, 720),
-            (24, 100, 90),
-            (24, 101, 90),
-            (24, 100, 91),
-            (24, 101, 91),
-        ],
-    )
-    def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
-        # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24
-        # divisors, each of whose rotations fixes some assignments.  The
-        # last four take the even-M reflection term through each parity
-        # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
-        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
-            dihedral_bipartite_index(m), n_at, n_gc
-        )
-
 
 class TestCountNecklaces:
     def test_alpha_dispatch(self):
         assert count_necklaces(NecklaceSpec(8, 6), 10) == 19
         assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
+        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
         assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
 
     @pytest.mark.parametrize(
@@ -206,30 +191,6 @@ class TestCountNecklaces:
             count_necklaces(NecklaceSpec(5, 5), alpha)
         assert str(info.value) == f"alternation count {message}"
 
-    def test_matches_distribution_when_rotations_contribute(self):
-        # The distribution is built from count_necklaces, so each of its
-        # counts is checked against the cycle-index route, not the kernel.
-        for spec in [
-            NecklaceSpec(4, 6),
-            NecklaceSpec(6, 12),
-            NecklaceSpec(12, 18),
-            NecklaceSpec(24, 24),
-            NecklaceSpec(36, 24),
-            NecklaceSpec(30, 45),
-        ]:
-            dist = alternation_distribution(spec)
-            for m in range(1, min(spec.n_at, spec.n_gc) + 1):
-                expected = count_orbits(
-                    dihedral_bipartite_index(m), spec.n_at, spec.n_gc
-                )
-                assert dist[2 * m] == expected, (spec, m)
-
-
-class TestZeroAlternationCount:
-    def test_homogeneous_chains(self):
-        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
-        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
-
 
 class TestAlternationDistribution:
     def test_known_small_distributions(self):
@@ -238,7 +199,7 @@ class TestAlternationDistribution:
         assert alternation_distribution(NecklaceSpec(0, 4)) == {0: 1}
 
     def test_keys_are_every_even_value_in_range(self):
-        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2)]:
+        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2), (6, 9), (12, 5)]:
             dist = alternation_distribution(NecklaceSpec(a, b))
             assert sorted(dist) == list(range(0, 2 * min(a, b) + 1, 2))
 
@@ -268,6 +229,9 @@ class TestTotals:
         specs = [NecklaceSpec(a, n - a) for n in range(1, 121) for a in range(n + 1)]
         specs += [NecklaceSpec(99, 101), NecklaceSpec(720, 360)]
         specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
+        # Long chains, up to N = 3000.
+        specs += [NecklaceSpec(500, 500), NecklaceSpec(700, 1400)]
+        specs += [NecklaceSpec(1201, 1200), NecklaceSpec(429, 2571)]
         for spec in specs:
             assert total_count(spec) == bracelet_count_direct(spec), spec
 

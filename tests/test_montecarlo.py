@@ -20,19 +20,6 @@ def rng_for(seed, *path):
     return np.random.default_rng(derive_subseed(seed, *path))
 
 
-class TestConfigValidation:
-    def test_rejects_bad_values(self):
-        spec = NecklaceSpec(2, 2)
-        with pytest.raises(ValueError):
-            MCConfig(spec, runs=0, seed=1)
-        with pytest.raises(ValueError):
-            MCConfig(spec, runs=10, seed=1, sets=0)
-        with pytest.raises(ValueError):
-            MCConfig(spec, runs=10, seed=-1)
-        with pytest.raises(ValueError):
-            MCConfig(spec, runs=10, seed=2**64)
-
-
 class TestSubseeds:
     def test_deterministic(self):
         assert derive_subseed(42, 3) == derive_subseed(42, 3)

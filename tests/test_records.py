@@ -98,6 +98,7 @@ INVALID = [
     (MCConfig, CONFIG_FIELDS, {"runs": 0}),
     (MCConfig, CONFIG_FIELDS, {"seed": 2**64}),
     (MCConfig, CONFIG_FIELDS, {"sets": 0}),
+    (MCConfig, CONFIG_FIELDS, {"seed": -1}),
 ]
 
 
@@ -107,11 +108,6 @@ def test_validation_holds_on_every_route(build, cls, valid, change):
     assert cls(**valid) == cls._make(valid.values())  # the valid form builds
     with pytest.raises(ValueError):
         BUILDERS[build](cls, valid, {**valid, **change})
-
-
-def test_spec_replace_rejects_negative_count():
-    with pytest.raises(ValueError, match="bead counts"):
-        NecklaceSpec(3, 5)._replace(n_at=-1)
 
 
 @pytest.mark.parametrize(
