@@ -75,12 +75,6 @@ KERNEL_QUERIES = {
     "every-small-query": every_query(
         (n_at, n - n_at) for n in range(2, 41) for n_at in range(1, n)
     ),
-    # gcd(M, n_at, n_gc) = M, with 12 to 24 divisors, each of whose
-    # rotations fixes some assignments.
-    "many-divisors": [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)],
-    # The even-M reflection term through each parity class of (n_at, n_gc):
-    # even/even, odd/even, even/odd, odd/odd.
-    "parity-classes": [(24, 100, 90), (24, 101, 90), (24, 100, 91), (24, 101, 91)],
     # Contents at which rotations past the identity contribute, every M.
     "rotation-contents": every_query(
         [(4, 6), (6, 12), (12, 18), (24, 24), (36, 24), (30, 45)]
@@ -143,6 +137,37 @@ class TestClosedFormKernel:
                 dihedral_bipartite_index(m), n_at, n_gc
             ), (m, n_at, n_gc)
 
+    @pytest.mark.parametrize(
+        "m, n_at, n_gc",
+        [
+            (60, 120, 240),
+            (72, 144, 216),
+            (120, 240, 360),
+            (360, 720, 720),
+            (24, 100, 90),
+            (24, 101, 90),
+            (24, 100, 91),
+            (24, 101, 91),
+        ],
+    )
+    def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
+        # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24
+        # divisors, each of whose rotations fixes some assignments.  The
+        # last four take the even-M reflection term through each parity
+        # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
+        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
+            dihedral_bipartite_index(m), n_at, n_gc
+        )
+
+    def test_long_chain_totals_match_bead_burnside(self):
+        for spec in [
+            NecklaceSpec(500, 500),
+            NecklaceSpec(700, 1400),
+            NecklaceSpec(1201, 1200),
+            NecklaceSpec(429, 2571),
+        ]:
+            assert total_count(spec) == bracelet_count_direct(spec), spec
+
     def test_non_divisible_total_raises(self, monkeypatch):
         # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
         # identity rotation's C(7, 4) * C(5, 4), which 2M = 10 does not
@@ -172,7 +197,6 @@ class TestCountNecklaces:
     def test_alpha_dispatch(self):
         assert count_necklaces(NecklaceSpec(8, 6), 10) == 19
         assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
-        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
         assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
 
     @pytest.mark.parametrize(
@@ -190,6 +214,12 @@ class TestCountNecklaces:
         with pytest.raises(ValueError) as info:
             count_necklaces(NecklaceSpec(5, 5), alpha)
         assert str(info.value) == f"alternation count {message}"
+
+
+class TestZeroAlternationCount:
+    def test_homogeneous_chains(self):
+        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
+        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
 
 
 class TestAlternationDistribution:
@@ -229,9 +259,6 @@ class TestTotals:
         specs = [NecklaceSpec(a, n - a) for n in range(1, 121) for a in range(n + 1)]
         specs += [NecklaceSpec(99, 101), NecklaceSpec(720, 360)]
         specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
-        # Long chains, up to N = 3000.
-        specs += [NecklaceSpec(500, 500), NecklaceSpec(700, 1400)]
-        specs += [NecklaceSpec(1201, 1200), NecklaceSpec(429, 2571)]
         for spec in specs:
             assert total_count(spec) == bracelet_count_direct(spec), spec
 
