@@ -6,7 +6,8 @@ exceed every native wire type (10^25 and up).  CSV output starts with
 the CSV columns with a "parameters" object instead.  Identical invocations
 (including seed) produce byte-identical output.
 
-Exit codes: 0 success, 2 usage or validation error, 3 internal
+Exit codes: 0 success, 2 usage or validation error (an unwritable or
+empty --out path and running out of memory among them), 3 internal
 integrality failure (a correctness bug, not a user error).
 
 `entrypoint` flushes the output and ends the process with ``os._exit``,
@@ -101,7 +102,7 @@ def _render(args, rows: list[dict]) -> str:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     elif sys.stdout is None:  # started with file descriptor 1 closed
@@ -406,13 +407,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         _report("error", exc)
         return USAGE_ERROR
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        _report("error", str(exc) or "out of memory")
+        return USAGE_ERROR
     except IntegralityError as exc:
         _report("integrality failure", exc)
         return INTEGRALITY_ERROR
     return 0
 
 
-def _report(kind: str, exc: Exception) -> None:
+def _report(kind: str, exc: Exception | str) -> None:
     """One stderr line, even for a message with line breaks in it (the
     least-squares search's failure texts have them)."""
     message = " ".join(line.strip() for line in str(exc).splitlines())

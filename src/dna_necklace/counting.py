@@ -191,7 +191,7 @@ def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
     Entries may be zero (alpha = 0 is zero whenever both colors are
     present).  Keys are exactly the even integers in range.
     """
-    return {a: count_necklaces(spec, a) for a in range(0, 2 * min(spec) + 1, 2)}
+    return {a: count_necklaces(spec, a) for a in range(0, spec.max_alternations + 1, 2)}
 
 
 def bracelet_count_direct(spec: NecklaceSpec) -> int:

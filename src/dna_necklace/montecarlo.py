@@ -15,6 +15,11 @@ and the generator for a stream is ``numpy.random.default_rng(subseed)``.
 Paths in use: `empirical_pdf` and the `mc` command use (i,) for set i;
 `convergence_study` uses (j, i) for run-count index j and set index i.
 Any reported row is re-derivable from its emitted subseed alone.
+
+Memory: a set's chains are drawn and counted in blocks of at most three
+times _BLOCK_BYTES (one chain at the least), whatever the run count and
+the chain length, and the histogram holds one slot per possible
+alternation value, 0..2·min(n_at, n_gc), not one per bead.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from .stats import DiscretePdf, theoretical_pdf
 
 PRNG_NAME = "PCG64"
 
-# `alternation_histogram` samples and counts this many chains at a time, so
-# its memory is bounded by the block, not by the run count.
-_BLOCK_ROWS = 4096
+# Bytes of chains and counts in one `alternation_histogram` block.
+_BLOCK_BYTES = 4 << 20
 
 
 class MCConfig(namedtuple("MCConfig", "spec runs seed sets")):
@@ -92,19 +96,21 @@ def alternation_histogram(
 ) -> dict[int, int]:
     """Raw observation counts of alternation values over `runs` chains.
 
-    Chains are drawn in blocks of at most _BLOCK_ROWS rows from `rng`.
-    The shuffle consumes the generator row by row, so the blocks draw the
-    same chains, in the same order, as one `runs`-row matrix would.  Keys
-    are the observed values in increasing order.
+    Chains are drawn from `rng` in blocks of max(1, _BLOCK_BYTES // (N + 8))
+    rows: a row is N one-byte beads and one 8-byte alternation count, and
+    counting a block adds two bead matrices, so a block holds at most
+    three budgets.  The shuffle consumes the generator row by row, so the
+    blocks draw the same chains, in the same order, as one `runs`-row
+    matrix would.  Keys are the observed values in increasing order.
     """
     import numpy as np
 
-    totals = np.zeros(spec.total + 1, np.int64)
-    for start in range(0, runs, _BLOCK_ROWS):
-        chains = sample_chains(spec, min(_BLOCK_ROWS, runs - start), rng)
-        totals += np.bincount(
-            count_alternations_rows(chains), minlength=spec.total + 1
-        )
+    rows = max(1, _BLOCK_BYTES // (spec.total + 8))
+    support = spec.max_alternations + 1
+    totals = np.zeros(support, np.int64)
+    for start in range(0, runs, rows):
+        chains = sample_chains(spec, min(rows, runs - start), rng)
+        totals += np.bincount(count_alternations_rows(chains), minlength=support)
     return {alpha: count for alpha, count in enumerate(totals.tolist()) if count}
 
 

@@ -1,5 +1,6 @@
 """The CLI runners and the exit-2 check the test modules share: exit code
-2, nothing on stdout and one stderr line, ``error: ...``."""
+2, nothing on stdout and one stderr line, ``error: ...``.  `run_python` is
+the one way a test starts a process."""
 
 import contextlib
 import io
@@ -21,28 +22,30 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def child_env():
-    """The environment for a child process.  PYTHONUNBUFFERED is dropped,
-    so that a piped stdout is block-buffered as on a user's pipe, and
-    output the program fails to flush is lost."""
-    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-
-
-def run_module(*argv, stdout=subprocess.PIPE):
-    """The completed ``python -m dna_necklace`` child process, its stdout
-    captured unless `stdout` names another target (a file descriptor or
-    file object)."""
+def run_python(*args, stdout=subprocess.PIPE, **popen_kwargs):
+    """The completed ``python *args`` child process, its stdout captured
+    unless `stdout` names another target (a file descriptor or file
+    object); keywords such as ``preexec_fn`` go to `subprocess.run`.
+    PYTHONUNBUFFERED is dropped, so that a piped stdout is block-buffered
+    as on a user's pipe, and output the program fails to flush is lost."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, "-m", "dna_necklace", *argv],
+        [sys.executable, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=child_env(),
+        env=env,
+        **popen_kwargs,
     )
 
 
+def run_module(*argv, **kwargs):
+    """The completed ``python -m dna_necklace *argv`` child process."""
+    return run_python("-m", "dna_necklace", *argv, **kwargs)
+
+
 def assert_usage_error(result, fragment):
-    """`result` (a `run_cli` triple or a `run_module` process) took the
+    """`result` (a `run_cli` triple or a `run_python` process) took the
     exit-2 path of `cli.main`, with `fragment` in its one stderr line.
     A child whose stdout was not captured counts as writing nothing."""
     if isinstance(result, subprocess.CompletedProcess):

@@ -9,9 +9,10 @@ directory removed after the run when the cache plugin is off
 (``-p no:cacheprovider``), never into a ``.hypothesis/`` directory in the
 working tree.
 
-The tests that start ``python -m dna_necklace`` in a child process pass it
-the ``pythonpath`` entries of ``pyproject.toml`` through ``PYTHONPATH``,
-so a checkout runs the suite without installing the package.
+Every child process a test starts (through ``cli_harness.run_python``)
+gets the ``pythonpath`` entries of ``pyproject.toml`` through
+``PYTHONPATH``, so a checkout runs the suite without installing the
+package.
 
 The ``pytester`` plugin lets a test run the repository's own pytest
 settings on a throwaway suite in a child process.

@@ -70,10 +70,11 @@ class TestSampling:
         assert (abs(counts / runs - 1 / 6) < 5 * stderr).all()
 
     @pytest.mark.parametrize("spec", [NecklaceSpec(22, 18), NecklaceSpec(3, 1)])
-    def test_block_histogram_matches_one_matrix(self, spec):
-        # Runs that end one row into a third block: the blocks must draw the
-        # chains one runs x N matrix would, from the same generator.
-        runs = 2 * montecarlo._BLOCK_ROWS + 1
+    def test_block_histogram_matches_one_matrix(self, spec, monkeypatch):
+        # Runs that end one row into a third block of ten rows: the blocks
+        # must draw the chains one runs x N matrix would, from the same generator.
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 10 * (spec.total + 8))
+        runs = 2 * 10 + 1
         whole = count_alternations_rows(sample_chains(spec, runs, rng_for(23, 0)))
         values, counts = np.unique(whole, return_counts=True)
         histogram = alternation_histogram(spec, runs, rng_for(23, 0))
