@@ -26,12 +26,7 @@ from .montecarlo import (
     sample_chains,
     total_abs_diff,
 )
-from .oracle import (
-    MAX_ENUMERATION_BITS,
-    canonical_form,
-    count_alternations,
-    enumerate_all,
-)
+from .oracle import MAX_ENUMERATION_BITS, enumerate_all
 from .stats import (
     DiscretePdf,
     GaussianFit,
@@ -55,9 +50,7 @@ __all__ = [
     "alternation_distribution",
     "alternation_histogram",
     "bracelet_count_direct",
-    "canonical_form",
     "convergence_study",
-    "count_alternations",
     "count_necklaces",
     "derive_subseed",
     "empirical_pdf",

@@ -8,12 +8,14 @@ the CSV columns with a "parameters" object instead.  Identical invocations
 
 Exit codes: 0 success, 2 usage or validation error (an unwritable or
 empty --out path and running out of memory among them), 3 internal
-integrality failure (a correctness bug, not a user error).
+integrality failure (a correctness bug, not a user error), 130 an
+interrupt (Ctrl-C) of the `dna-necklace` process.
 
 `entrypoint` flushes the output and ends the process with ``os._exit``,
 skipping interpreter teardown, so ``atexit`` handlers do not run there;
-a flush that fails there exits 2 with one ``error:`` line.  `main`
-returns its exit code as usual.
+a flush that fails there exits 2 with one ``error:`` line, and an
+interrupt exits 130 with one.  `main` returns its exit code as usual,
+and lets an interrupt reach its caller.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .stats import (
 
 USAGE_ERROR = 2
 INTEGRALITY_ERROR = 3
+INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 
 def _fmt(value) -> str:
@@ -430,8 +433,14 @@ def entrypoint() -> None:
     costs milliseconds after the output is already written.  A final
     flush that fails (a closed pipe, a full disk) is a usage error,
     reported like any other; a failure to write that report is ignored.
+    An interrupt is reported as one ``error: interrupted`` line, not a
+    traceback.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        code = INTERRUPTED
+        _report("error", "interrupted")
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:

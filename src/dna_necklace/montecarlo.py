@@ -16,7 +16,7 @@ Paths in use: `empirical_pdf` and the `mc` command use (i,) for set i;
 `convergence_study` uses (j, i) for run-count index j and set index i.
 Any reported row is re-derivable from its emitted subseed alone.
 
-Memory: a set's chains are drawn and counted in blocks of at most three
+Memory: a set's chains are drawn and counted in blocks of at most two
 times _BLOCK_BYTES (one chain at the least), whatever the run count and
 the chain length, and the histogram holds one slot per possible
 alternation value, 0..2·min(n_at, n_gc), not one per bead.
@@ -85,10 +85,11 @@ def sample_chains(
 
 
 def count_alternations_rows(chains: np.ndarray) -> np.ndarray:
-    """Circular alternation count of every row of a chain matrix."""
-    import numpy as np
-
-    return (chains != np.roll(chains, -1, axis=1)).sum(axis=1)
+    """Circular alternation count of every row of a chain matrix; the
+    wrap-around pair is counted apart, so no shifted copy is made."""
+    return (chains[:, 1:] != chains[:, :-1]).sum(axis=1) + (
+        chains[:, 0] != chains[:, -1]
+    )
 
 
 def alternation_histogram(
@@ -98,10 +99,11 @@ def alternation_histogram(
 
     Chains are drawn from `rng` in blocks of max(1, _BLOCK_BYTES // (N + 8))
     rows: a row is N one-byte beads and one 8-byte alternation count, and
-    counting a block adds two bead matrices, so a block holds at most
-    three budgets.  The shuffle consumes the generator row by row, so the
-    blocks draw the same chains, in the same order, as one `runs`-row
-    matrix would.  Keys are the observed values in increasing order.
+    counting a block adds one matrix of N - 1 one-byte comparisons a row,
+    so a block holds at most two budgets.  The shuffle consumes the
+    generator row by row, so the blocks draw the same chains, in the same
+    order, as one `runs`-row matrix would.  Keys are the observed values
+    in increasing order.
     """
     import numpy as np
 

@@ -1,66 +1,58 @@
-"""Brute-force ground truth on explicit bead strings (small N only).
+"""Brute-force ground truth on every bead arrangement (small N only).
 
-Bead strings are plain '0'/'1' strings: '1' is a white bead (AT pair),
-'0' a black bead (GC pair).  Everything here is written to be checkable
-by inspection rather than fast: canonicalization takes a literal minimum
-over all 2N rotated/reflected images, and enumeration walks every one of
-the 2^N strings.  None of the production counting formulas are used, so
-agreement with `counting` is a genuine two-route check.
+A chain of n beads is an n-bit integer: the first bead is the most
+significant bit, a 1 bit a white bead (AT pair) and a 0 bit a black bead
+(GC pair).  Rotating the chain by one bead rotates the integer left by
+one bit, and reading it backwards reverses its n bits.  Everything here
+is written to be checkable by inspection rather than clever: a value is
+counted when none of its 2n rotated/reflected images is smaller, and the
+enumeration walks every one of the 2^n values.  None of the production
+counting formulas are used, so agreement with `counting` is a genuine
+two-route check.
 """
 
 from __future__ import annotations
 
-# 2^N strings are enumerated; past this the walk stops being interactive.
+# 2^N values are walked.  The bound is the `oracle` command's accepted
+# range, a contract of the CLI; the walk itself would allow more.
 MAX_ENUMERATION_BITS = 18
 
 
-def _check_bits(s: str) -> None:
-    if not s:
-        raise ValueError("bead string must be non-empty")
-    if set(s) - {"0", "1"}:
-        raise ValueError(f"bead string must contain only 0/1, got {s!r}")
-
-
-def count_alternations(s: str) -> int:
-    """Positions where a bead differs from its clockwise neighbor.
-
-    The string is circular: the last bead neighbors the first.  The result
-    is always even, and a single bead has no alternations.
-    """
-    _check_bits(s)
-    n = len(s)
-    return sum(1 for i in range(n) if s[i] != s[(i + 1) % n])
-
-
-def canonical_form(s: str) -> str:
-    """Lexicographically smallest of the 2N rotations of s and reversed s."""
-    _check_bits(s)
-    n = len(s)
-    doubled = s + s
-    rev = s[::-1]
-    rev_doubled = rev + rev
-    return min(
-        min(doubled[i : i + n] for i in range(n)),
-        min(rev_doubled[i : i + n] for i in range(n)),
-    )
+def _no_rotation_below(image: int, value: int, n: int) -> bool:
+    """Whether every one of the n rotations of the n-bit `image` is at
+    least `value`."""
+    mask = (1 << n) - 1
+    for _ in range(n):
+        if image < value:
+            return False
+        image = ((image << 1) | (image >> (n - 1))) & mask
+    return True
 
 
 def enumerate_all(n: int) -> dict[tuple[int, int], int]:
     """Exact necklace counts per (whites, alternations) bucket at length n.
 
-    Walks all 2^n strings and tallies those that are their own canonical
-    form.  Fixed-width 0/1 strings order the same numerically and
-    lexicographically, so each class is met first at its minimum.
+    Walks the 2^n values in increasing order and tallies those that no
+    rotation of themselves or of their mirror image undercuts, so each
+    class is counted once, where it is first met: at its minimum value.
+    A value's whites are its 1 bits, and its alternations are the bits in
+    which it differs from its rotation by one.  With the first bead as the
+    most significant bit, values order as their 0/1 bead strings do, so
+    the buckets come in the order of each class's least string.
     """
     if not 1 <= n <= MAX_ENUMERATION_BITS:
         raise ValueError(
             f"enumeration supports 1 <= n <= {MAX_ENUMERATION_BITS}, got {n}"
         )
+    mask = (1 << n) - 1
     buckets: dict[tuple[int, int], int] = {}
-    for value in range(2**n):
-        s = format(value, f"0{n}b")
-        if canonical_form(s) != s:
-            continue
-        key = (s.count("1"), count_alternations(s))
-        buckets[key] = buckets.get(key, 0) + 1
+    for value in range(1 << n):
+        # The mirror image is formed only for values that pass their own
+        # rotations, which most do not.
+        if _no_rotation_below(value, value, n) and _no_rotation_below(
+            int(format(value, f"0{n}b")[::-1], 2), value, n
+        ):
+            neighbour = ((value << 1) | (value >> (n - 1))) & mask
+            key = (value.bit_count(), (value ^ neighbour).bit_count())
+            buckets[key] = buckets.get(key, 0) + 1
     return buckets

@@ -18,7 +18,7 @@ from dna_necklace.counting import (
     count_necklaces,
 )
 from dna_necklace.montecarlo import convergence_study
-from dna_necklace.oracle import canonical_form, count_alternations, enumerate_all
+from dna_necklace.oracle import enumerate_all
 from dna_necklace.stats import (
     fit_gaussian,
     sweep_fixed_at,
@@ -26,6 +26,7 @@ from dna_necklace.stats import (
     theoretical_pdf,
 )
 from cli_harness import run_cli
+from reference.bead_strings import canonical_form, count_alternations
 
 
 @contextmanager

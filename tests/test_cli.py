@@ -440,6 +440,19 @@ cli.count_necklaces = count_necklaces
 cli.entrypoint()
 """
 
+# Runs `cli.entrypoint` with the count interrupted as Ctrl-C would.
+INTERRUPTED_ENTRYPOINT = """
+import signal
+
+from dna_necklace import cli
+
+def count_necklaces(spec, alpha):
+    signal.raise_signal(signal.SIGINT)
+
+cli.count_necklaces = count_necklaces
+cli.entrypoint()
+"""
+
 
 class TestEntrypoint:
     """A `python -m dna_necklace` process ends in `cli.entrypoint`, which
@@ -486,6 +499,18 @@ class TestEntrypoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "integrality failure: rigged\n"
         )
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch):
+        proc = run_python("-c", INTERRUPTED_ENTRYPOINT, *SMALL_COUNT)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            130, "", "error: interrupted\n"
+        )
+        # `main` leaves the interrupt to its caller.
+        def interrupted(spec, alpha):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "count_necklaces", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*SMALL_COUNT)
 
     def test_only_the_entrypoint_ends_the_process(self):
         # `os._exit` skips its caller's cleanup and unflushed output, so no

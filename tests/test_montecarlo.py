@@ -49,6 +49,13 @@ class TestSampling:
     def test_alternation_counts_are_even(self):
         chains = sample_chains(NecklaceSpec(6, 9), 2000, rng_for(13, 0))
         assert (count_alternations_rows(chains) % 2 == 0).all()
+        # One and two beads, where the wrap-around pair is every pair or half.
+        for rows, expected in [
+            ([[0], [1]], [0, 0]),
+            ([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 2, 2, 0]),
+        ]:
+            counts = count_alternations_rows(np.array(rows, np.uint8))
+            assert counts.tolist() == expected
 
     def test_mean_alternations_matches_expectation(self):
         # Each of the N adjacent pairs differs with probability

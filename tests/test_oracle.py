@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from dna_necklace.oracle import canonical_form, count_alternations, enumerate_all
+from dna_necklace.oracle import enumerate_all
+from reference.bead_strings import canonical_form, count_alternations
 
 
 def all_strings(length):
@@ -79,7 +80,7 @@ class TestEnumerateAll:
         assert enumerate_all(1) == {(0, 0): 1, (1, 0): 1}
 
     def test_tallies_each_distinct_form_once_in_first_seen_order(self):
-        for n in range(1, 11):
+        for n in range(1, 15):
             forms = dict.fromkeys(
                 canonical_form(format(value, f"0{n}b")) for value in range(2**n)
             )

@@ -26,9 +26,7 @@ PUBLIC = [
     "alternation_distribution",
     "alternation_histogram",
     "bracelet_count_direct",
-    "canonical_form",
     "convergence_study",
-    "count_alternations",
     "count_necklaces",
     "derive_subseed",
     "empirical_pdf",
