@@ -11,6 +11,14 @@ empty --out path and running out of memory among them), 3 internal
 integrality failure (a correctness bug, not a user error), 130 an
 interrupt (Ctrl-C) of the `dna-necklace` process.
 
+Each subcommand's options are stated once, in the `_COMMANDS` table.  A
+plain command line (see `_fast_parse`) becomes the same namespace,
+names, values and order, that argparse would make of it, or no result;
+every other line, help and every parse error among them, goes to the
+argparse parser `build_parser` builds from the table.  So argparse is
+imported only on that path, and output, error text and exit code are
+argparse's either way.
+
 `entrypoint` flushes the output and ends the process with ``os._exit``,
 skipping interpreter teardown, so ``atexit`` handlers do not run there;
 a flush that fails there exits 2 with one ``error:`` line, and an
@@ -20,13 +28,13 @@ and lets an interrupt reach its caller.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import math
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .counting import (
     IntegralityError,
@@ -328,14 +336,82 @@ def cmd_oracle(args) -> str:
     return _render(args, rows)
 
 
-def _add_table_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+_QUIET = ("-q", "--quiet")
+
+# Options shared by several subcommands, as `add_argument` keywords.
+_BEADS = {"--at": {"type": int, "required": True}, "--gc": {"type": int, "required": True}}
+_TABLE_FLAGS = {
+    "--format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+    "--out": {"help": "write output to this file instead of stdout"},
+}
+
+# Each subcommand once: its help line, its options in parser order (each
+# flag with its `add_argument` keywords) and the values `set_defaults`
+# adds after them.  A flag's namespace key is argparse's: the flag
+# without its leading dashes, with "_" for "-".
+_COMMANDS = {
+    "count": (
+        "exact count at one alternation number",
+        {
+            "--alpha": {"type": int, "required": True, "help": "alternation count (even)"},
+            "--at": {"type": int, "required": True, "help": "number of AT (white) beads"},
+            "--gc": {"type": int, "required": True, "help": "number of GC (black) beads"},
+        },
+        {"func": cmd_count},
+    ),
+    "pdf": (
+        "theoretical alternation distribution",
+        {**_BEADS, **_TABLE_FLAGS},
+        {"func": cmd_pdf},
+    ),
+    "mc": (
+        "Monte Carlo empirical distribution",
+        {
+            **_BEADS,
+            "--runs": {"type": int, "required": True, "help": "chains per set"},
+            "--seed": {"type": int, "default": 0, "help": "master seed (64-bit)"},
+            "--sets": {"type": int, "default": 5, "help": "independent sets"},
+            **_TABLE_FLAGS,
+        },
+        {"func": cmd_mc, "prng": PRNG_NAME},
+    ),
+    "fit": (
+        "Gaussian fit of a pdf",
+        {
+            "--at": {"type": int},
+            "--gc": {"type": int},
+            "--pdf-file": {
+                "help": "fit a pdf from a CSV with alpha,probability columns "
+                "(e.g. the output of the pdf command) instead of computing one"
+            },
+            **_TABLE_FLAGS,
+        },
+        {"func": cmd_fit},
+    ),
+    "sweep": (
+        "Gaussian characteristics over a parameter sweep",
+        {
+            "--mode": {"choices": ("fixed-at", "fixed-ratio"), "required": True},
+            "--at": {"type": int, "help": "fixed-at: the constant AT count"},
+            "--gc-values": {"help": "fixed-at: comma-separated GC counts"},
+            "--ratio": {"help": "fixed-ratio: GC:AT, e.g. 6:1"},
+            "--n-values": {"help": "fixed-ratio: comma-separated total lengths"},
+            **_TABLE_FLAGS,
+        },
+        {"func": cmd_sweep},
+    ),
+    "oracle": (
+        f"brute-force bucket table (N <= {MAX_ENUMERATION_BITS})",
+        {"--n": {"type": int, "required": True, "help": "chain length"}, **_TABLE_FLAGS},
+        {"func": cmd_oracle},
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of `_COMMANDS`; the only place argparse is imported."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dna-necklace",
         description=(
@@ -344,67 +420,69 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress the parameter echo (pipeline use)",
+        *_QUIET, action="store_true", help="suppress the parameter echo (pipeline use)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact count at one alternation number")
-    p.add_argument("--alpha", type=int, required=True, help="alternation count (even)")
-    p.add_argument("--at", type=int, required=True, help="number of AT (white) beads")
-    p.add_argument("--gc", type=int, required=True, help="number of GC (black) beads")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("pdf", help="theoretical alternation distribution")
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--gc", type=int, required=True)
-    _add_table_flags(p)
-    p.set_defaults(func=cmd_pdf)
-
-    p = sub.add_parser("mc", help="Monte Carlo empirical distribution")
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--gc", type=int, required=True)
-    p.add_argument("--runs", type=int, required=True, help="chains per set")
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-    p.add_argument("--sets", type=int, default=5, help="independent sets")
-    _add_table_flags(p)
-    p.set_defaults(func=cmd_mc, prng=PRNG_NAME)
-
-    p = sub.add_parser("fit", help="Gaussian fit of a pdf")
-    p.add_argument("--at", type=int)
-    p.add_argument("--gc", type=int)
-    p.add_argument(
-        "--pdf-file",
-        help="fit a pdf from a CSV with alpha,probability columns "
-        "(e.g. the output of the pdf command) instead of computing one",
-    )
-    _add_table_flags(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("sweep", help="Gaussian characteristics over a parameter sweep")
-    p.add_argument("--mode", choices=("fixed-at", "fixed-ratio"), required=True)
-    p.add_argument("--at", type=int, help="fixed-at: the constant AT count")
-    p.add_argument("--gc-values", help="fixed-at: comma-separated GC counts")
-    p.add_argument("--ratio", help="fixed-ratio: GC:AT, e.g. 6:1")
-    p.add_argument("--n-values", help="fixed-ratio: comma-separated total lengths")
-    _add_table_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "oracle", help=f"brute-force bucket table (N <= {MAX_ENUMERATION_BITS})"
-    )
-    p.add_argument("--n", type=int, required=True, help="chain length")
-    _add_table_flags(p)
-    p.set_defaults(func=cmd_oracle)
-
+    for name, (summary, options, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a plain command line, or None.
+
+    Plain means: leading -q/--quiet tokens, one subcommand name, then
+    ``--flag value`` pairs of that subcommand, each flag exact and given
+    at most once, no value starting with "-", every type conversion and
+    choice accepted and every required flag present.  The namespace then
+    has the same names, values and order as `build_parser`'s.  None
+    leaves every other line (help, errors, abbreviations, ``--flag=value``,
+    negative numbers) to argparse.
+    """
+    start = 0
+    while start < len(argv) and argv[start] in _QUIET:
+        start += 1
+    if start == len(argv) or argv[start] not in _COMMANDS:
+        return None
+    command = argv[start]
+    _, options, defaults = _COMMANDS[command]
+    rest = argv[start + 1 :]
+    if len(rest) % 2:
+        return None
+    given = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        keywords = options.get(flag)
+        if keywords is None or flag in given or text.startswith("-"):
+            return None
+        value = text
+        if "type" in keywords:
+            try:
+                value = keywords["type"](text)
+            except ValueError:  # int() refuses it, and so would argparse
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if any(
+        keywords.get("required") and flag not in given
+        for flag, keywords in options.items()
+    ):
+        return None
+    values = {"quiet": start > 0, "command": command}
+    for flag, keywords in options.items():
+        values[flag[2:].replace("-", "_")] = given.get(flag, keywords.get("default"))
+    return SimpleNamespace(**values, **defaults)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         _write(args, args.func(args))
     except (ValueError, OSError) as exc:

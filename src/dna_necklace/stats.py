@@ -69,7 +69,9 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     points.
 
     A fit whose width falls below a floor or exceeds the span of the
-    fitted support (a flat pdf has no peak to fit), whose start moments
+    fitted support (a flat pdf has no peak to fit), whose centre lies
+    outside that support's first and last points (a pdf piled against
+    its edge has no peak to fit either), whose start moments
     or fitted fields are not finite (values too large for float64
     arithmetic), or whose largest probability is subnormal (too small for
     it), is rejected with ValueError; RuntimeError means the least-squares
@@ -122,6 +124,11 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
             raise ValueError(
                 f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
                 "the pdf has no peak to fit"
+            )
+        if not x[0] <= alpha0 <= x[-1]:
+            raise ValueError(
+                f"fitted centre {alpha0:.6g} lies outside the support "
+                f"[{x[0]:g}, {x[-1]:g}]: the pdf has no peak to fit"
             )
         rmse = float(np.sqrt(np.mean((gaussian(amplitude, alpha0, sigma) - y) ** 2)))
         _require_finite("fit residual", rmse=rmse)

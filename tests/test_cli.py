@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -211,6 +212,23 @@ class TestFit:
         assert_usage_error(proc, reason)
         assert "Warning" not in proc.stderr
 
+    def test_centre_outside_the_support_is_a_usage_error(self, tmp_path):
+        # (5, 640) has 96.9 % of its mass on its last point, 10; the curve
+        # through its points peaks past it.
+        assert_usage_error(
+            run_cli("fit", "--at", "5", "--gc", "640"),
+            "error: fitted centre 14.7469 lies outside the support [2, 10]: "
+            "the pdf has no peak to fit\n",
+        )
+        # A file that rises to its last point: a Gaussian tail centred at 10.
+        path = tmp_path / "rising.csv"
+        rows = [f"{a},{math.exp(-((a - 10) ** 2) / 18)!r}" for a in (0, 2, 4, 6)]
+        path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            "error: fitted centre 10 lies outside the support [0, 6]",
+        )
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         text = "# exported\nalpha,probability\n0,0.2\n2,0.6\n4,0.2\n"
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -362,15 +380,21 @@ class TestOracleCommand:
 
 
 # Runs `import dna_necklace` or, given arguments, `cli.main(["--quiet",
-# ...])`, then prints three stderr lines: the loaded ones of numpy and scipy,
-# the modules the run added (within one fresh process, so whatever `site`
-# loads at start-up is not counted) and the peak resident set (KiB on Linux).
+# ...])`, which must exit 0 (or print help, as argparse does, with
+# `SystemExit(0)`), then prints three stderr lines: the loaded ones of numpy
+# and scipy, the modules the run added (within one fresh process, so
+# whatever `site` loads at start-up is not counted) and the peak resident
+# set (KiB on Linux).
 PROBE = """
 import resource, sys
 before = set(sys.modules)
 if sys.argv[1:]:
     from dna_necklace import cli
-    assert cli.main(["--quiet", *sys.argv[1:]]) == 0
+    try:
+        code = cli.main(["--quiet", *sys.argv[1:]])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
 else:
     import dna_necklace
 print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
@@ -387,26 +411,38 @@ def probe(*argv):
     return libraries, set(added.split(",")), int(kib) * 1024
 
 
+# Probe rows: the package import, then one line of each command, with the
+# libraries each loads.
+_PROBE_ROWS = [
+    ([], ""),
+    (["count", "--alpha", "10", "--at", "8", "--gc", "6"], ""),
+    (["pdf", "--at", "3", "--gc", "4"], ""),
+    (["oracle", "--n", "4"], ""),
+    (["mc", "--at", "3", "--gc", "4", "--runs", "10", "--sets", "1"], "numpy"),
+    (["fit", "--at", "5", "--gc", "5"], "numpy"),
+    (["sweep", "--mode", "fixed-at", "--at", "5", "--gc-values", "5"], "numpy"),
+    (["sweep", "--mode", "fixed-ratio", "--ratio", "1:1", "--n-values", "8,10"], "numpy"),
+]
+
+
 class TestImportBoundary:
     """Counting needs neither library, Monte Carlo and the fits need numpy,
     and nothing needs scipy.  Nor does counting load the heavier standard
-    modules (json only writes JSON output)."""
+    modules (json only writes JSON output), and no plain command line
+    loads argparse."""
 
-    @pytest.mark.parametrize(
-        "argv, loaded",
-        [
-            ([], ""),
-            (["count", "--alpha", "10", "--at", "8", "--gc", "6"], ""),
-            (["pdf", "--at", "3", "--gc", "4"], ""),
-            (["oracle", "--n", "4"], ""),
-            (["mc", "--at", "3", "--gc", "4", "--runs", "10", "--sets", "1"], "numpy"),
-            (["fit", "--at", "5", "--gc", "5"], "numpy"),
-            (["sweep", "--mode", "fixed-at", "--at", "5", "--gc-values", "5"], "numpy"),
-            (["sweep", "--mode", "fixed-ratio", "--ratio", "1:1", "--n-values", "8,10"], "numpy"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, loaded", _PROBE_ROWS)
     def test_libraries_loaded(self, argv, loaded):
         assert probe(*argv)[0] == loaded
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _PROBE_ROWS])
+    def test_no_argument_parser(self, argv):
+        # Importing argparse, and building its parsers, which loads gettext
+        # and locale, is a large share of a command's start-up.
+        assert probe(*argv)[1] & {"argparse", "gettext", "locale"} == set()
+
+    def test_help_loads_argparse(self):
+        assert "argparse" in probe("--help")[1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -613,6 +649,95 @@ class TestExitCodeContract:
             assert_usage_error(result, "")
         # Identical invocations give byte-identical output.
         assert run_cli(*argv)[:2] == (code, out), argv
+
+
+@functools.cache
+def _parser():
+    return cli.build_parser()
+
+
+def _argparse_items(argv):
+    """The items of argparse's namespace for `argv`, or None if it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return list(vars(_parser().parse_args(argv)).items())
+        except SystemExit:
+            return None
+
+
+# Tokens that argparse reads its own way.  Names: the commands, every flag
+# and each of its abbreviations.  Values: `--flag=value`, help, "--",
+# negative numbers, numbers `int()` reads (" 5", "1_0", "٣") or refuses
+# ("²", past the digit limit) whatever `str.isdigit` says, and a few
+# values a flag accepts.
+_SOUP_NAMES = sorted(
+    set(cli._COMMANDS)
+    | {
+        flag[:end]
+        for _, options, _ in cli._COMMANDS.values()
+        for flag in [*options, "--quiet", "--help"]
+        for end in range(3, len(flag) + 1)
+    }
+)
+_SOUP_VALUES = ["--at=3", "-q", "-h", "--", "-3", "+5", " 5", "1_0", "²", "٣", "9" * 4400]
+_SOUP_VALUES += ["3", "12", "6:1", "1,2", "csv", "json", "fixed-at", ""]
+_SOUP = _SOUP_NAMES + _SOUP_VALUES
+
+
+@st.composite
+def _soup_lines(draw):
+    """Quiet tokens, a command and most of its flags in any order, each
+    with a value that fits it or one from the soup, and maybe one more
+    soup token anywhere."""
+    tokens = draw(st.lists(st.sampled_from(["-q", "--quiet"]), max_size=2))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    tokens.append(command)
+    options = cli._COMMANDS[command][1]
+    for flag in draw(st.permutations(sorted(options))):
+        fitting = st.sampled_from(options[flag].get("choices", ["12"]))
+        if draw(st.integers(0, 3)):
+            tokens += [flag, draw(st.one_of(fitting, st.sampled_from(_SOUP_VALUES)))]
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_SOUP)))
+    return tokens
+
+
+# The six command shapes perfbench's cli-cold workload times.
+_CLI_COLD = [
+    ["--quiet", "count", "--alpha", "10", "--at", "37", "--gc", "52"],
+    ["pdf", "--at", "7", "--gc", "55", "--format", "json"],
+    ["--quiet", "fit", "--at", "41", "--gc", "33", "--format", "csv"],
+    ["sweep", "--mode", "fixed-ratio", "--ratio", "6:1", "--n-values", "42,84,126,168",
+     "--format", "csv"],
+    ["mc", "--at", "20", "--gc", "61", "--runs", "1500", "--seed", str(2**64 - 1),
+     "--sets", "3", "--format", "json"],
+    ["--quiet", "oracle", "--n", "12", "--format", "csv"],
+]
+
+
+class TestFastPath:
+    """`cli._fast_parse` makes argparse's namespace of a plain line, or
+    leaves the line to argparse."""
+
+    @settings(max_examples=500)
+    @given(
+        argv=st.one_of(
+            _ARGV, _soup_lines(), st.lists(st.sampled_from(_SOUP), max_size=12)
+        )
+    )
+    def test_agrees_with_argparse(self, argv):
+        fast = cli._fast_parse(argv)
+        if fast is not None:  # so also None wherever argparse exits
+            assert list(vars(fast).items()) == _argparse_items(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv", _CLI_COLD, ids=["count", "pdf", "fit", "sweep", "mc", "oracle"]
+    )
+    def test_benchmark_lines_take_it(self, argv):
+        fast = cli._fast_parse(argv)
+        assert fast is not None
+        assert list(vars(fast).items()) == _argparse_items(argv)
 
 
 # Cell values that a --pdf-file row must be rejected for, or that test a

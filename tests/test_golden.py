@@ -4,10 +4,12 @@
 return; `<name>.out` holds the exact stdout it must write.  The corpus
 covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
-rejected invocations and one count past the interpreter's 4 300-digit
-`str(int)` limit.  The cases run in process through `cli.main`; a
-rejected one must also meet the one-line `error:` contract, and every
-other one must write nothing to stderr.
+rejected invocations, one count past the interpreter's 4 300-digit
+`str(int)` limit, and the help text of the program and of each
+subcommand.  The cases run in process through `cli.main`, with
+``COLUMNS=80`` so that argparse wraps help and usage lines the same on
+any terminal; a rejected one must also meet the one-line `error:`
+contract, and every other one must write nothing to stderr.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from dna_necklace import cli
 from cli_harness import assert_usage_error, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,7 +30,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
+def test_cli_output_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     case = CASES[name]
     code, out, err = result = run_cli(*case["argv"])
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
@@ -36,3 +40,13 @@ def test_cli_output_matches_golden(name):
         assert_usage_error(result, "")
     else:
         assert err == "", err
+
+
+def test_plain_lines_take_the_fast_path():
+    # Every case but help is a line argparse accepts; of those, only
+    # `--seed -1` is left to it, which reads the negative number.
+    fallbacks = {
+        name for name, case in CASES.items() if cli._fast_parse(case["argv"]) is None
+    }
+    helps = {name for name, case in CASES.items() if "--help" in case["argv"]}
+    assert fallbacks == helps | {"mc-bad-seed"}

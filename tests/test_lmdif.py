@@ -61,6 +61,11 @@ def scipy_fit_gaussian(pdf):
             f"fitted width {sigma:.6g} exceeds the support span {span:g}: "
             "the pdf has no peak to fit"
         )
+    if not x[0] <= alpha0 <= x[-1]:
+        raise ValueError(
+            f"fitted centre {alpha0:.6g} lies outside the support "
+            f"[{x[0]:g}, {x[-1]:g}]: the pdf has no peak to fit"
+        )
     rmse = float(np.sqrt(np.mean((_gaussian(x, amplitude, alpha0, sigma) - y) ** 2)))
     return GaussianFit(alpha0=alpha0, sigma=sigma, amplitude=amplitude, rmse=rmse)
 
