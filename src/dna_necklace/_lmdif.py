@@ -8,7 +8,8 @@ forward-difference Jacobian with epsfcn = float64 eps, ftol = xtol =
 the first Jacobian) and no printing.  Kept in the same order, the float64
 operations give the same bits as the compiled MINPACK inside curve_fit,
 so a fit comes out exactly as curve_fit gave it (tests/test_lmdif.py
-checks this against scipy).  Three rules keep that true:
+checks this by running scipy's MINPACK in this function's place inside
+`stats.fit_gaussian`).  Three rules keep that true:
 
 - a Fortran `a**2` is written `a * a`: CPython's `a ** 2` calls the C
   library's `pow`, which is not always the correctly rounded square;

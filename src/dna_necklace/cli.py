@@ -339,7 +339,10 @@ def cmd_oracle(args) -> str:
 _QUIET = ("-q", "--quiet")
 
 # Options shared by several subcommands, as `add_argument` keywords.
-_BEADS = {"--at": {"type": int, "required": True}, "--gc": {"type": int, "required": True}}
+_BEADS = {
+    "--at": {"type": int, "required": True, "help": "number of AT (white) beads"},
+    "--gc": {"type": int, "required": True, "help": "number of GC (black) beads"},
+}
 _TABLE_FLAGS = {
     "--format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
     "--out": {"help": "write output to this file instead of stdout"},
@@ -354,8 +357,7 @@ _COMMANDS = {
         "exact count at one alternation number",
         {
             "--alpha": {"type": int, "required": True, "help": "alternation count (even)"},
-            "--at": {"type": int, "required": True, "help": "number of AT (white) beads"},
-            "--gc": {"type": int, "required": True, "help": "number of GC (black) beads"},
+            **_BEADS,
         },
         {"func": cmd_count},
     ),
@@ -378,8 +380,8 @@ _COMMANDS = {
     "fit": (
         "Gaussian fit of a pdf",
         {
-            "--at": {"type": int},
-            "--gc": {"type": int},
+            "--at": {"type": int, "help": "number of AT beads of the pdf to compute and fit"},
+            "--gc": {"type": int, "help": "number of GC beads of the pdf to compute and fit"},
             "--pdf-file": {
                 "help": "fit a pdf from a CSV with alpha,probability columns "
                 "(e.g. the output of the pdf command) instead of computing one"
@@ -391,7 +393,12 @@ _COMMANDS = {
     "sweep": (
         "Gaussian characteristics over a parameter sweep",
         {
-            "--mode": {"choices": ("fixed-at", "fixed-ratio"), "required": True},
+            "--mode": {
+                "choices": ("fixed-at", "fixed-ratio"),
+                "required": True,
+                "help": "fixed-at: vary the GC count at a fixed AT count; "
+                "fixed-ratio: vary the length at a fixed GC:AT ratio",
+            },
             "--at": {"type": int, "help": "fixed-at: the constant AT count"},
             "--gc-values": {"help": "fixed-at: comma-separated GC counts"},
             "--ratio": {"help": "fixed-ratio: GC:AT, e.g. 6:1"},

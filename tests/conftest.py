@@ -16,6 +16,12 @@ package.
 
 The ``pytester`` plugin lets a test run the repository's own pytest
 settings on a throwaway suite in a child process.
+
+The report header names the numpy and scipy versions and whether numpy
+dispatches AVX512F code: the `fit`/`sweep` goldens and the benchmark's
+fit digests hold on one CPU class only, since ``np.exp`` picks SIMD code
+for the CPU.  numpy is imported inside the hook alone, so the test
+modules' own import probes (child processes) see no change.
 """
 
 import os
@@ -43,3 +49,21 @@ def pytest_configure(config):
     paths = [str(path) for path in config.getini("pythonpath")]
     paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
     os.environ["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+
+
+def pytest_report_header(config):
+    import numpy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        import scipy
+    except ImportError:  # the lmdif comparisons skip
+        scipy = None
+    return (
+        f"numpy {numpy.__version__}, "
+        f"scipy {scipy.__version__ if scipy else 'absent'}, "
+        f"numpy dispatches AVX512F: {'yes' if __cpu_features__.get('AVX512F') else 'no'}"
+    )

@@ -740,6 +740,20 @@ class TestFastPath:
         assert list(vars(fast).items()) == _argparse_items(argv)
 
 
+def test_every_option_has_help_text():
+    # --quiet, and each option of every `_COMMANDS` entry.
+    parser = _parser()
+    (commands,) = (action for action in parser._actions if action.dest == "command")
+    assert list(commands.choices) == list(cli._COMMANDS)
+    undescribed = [
+        (name, action.option_strings)
+        for name, command_parser in [("", parser), *commands.choices.items()]
+        for action in command_parser._actions
+        if action.option_strings and not (action.help or "").strip()
+    ]
+    assert undescribed == []
+
+
 # Cell values that a --pdf-file row must be rejected for, or that test a
 # limit: (alpha column, probability column).
 _PDF_FAULTS = (
