@@ -19,11 +19,11 @@ argparse parser `build_parser` builds from the table.  So argparse is
 imported only on that path, and output, error text and exit code are
 argparse's either way.
 
-`entrypoint` flushes the output and ends the process with ``os._exit``,
-skipping interpreter teardown, so ``atexit`` handlers do not run there;
-a flush that fails there exits 2 with one ``error:`` line, and an
-interrupt exits 130 with one.  `main` returns its exit code as usual,
-and lets an interrupt reach its caller.
+`main` returns every exit code, help (0) and argparse's usage errors (2)
+included; only an interrupt reaches its caller.  `entrypoint` ends every
+run: it flushes the output and ends the process with ``os._exit``,
+skipping interpreter teardown (``atexit`` handlers do not run); a flush
+that fails exits 2 with one ``error:`` line, an interrupt 130 with one.
 """
 
 from __future__ import annotations
@@ -165,8 +165,9 @@ def cmd_mc(args) -> str:
 def _read_pdf_file(path: str) -> DiscretePdf:
     """Load a pdf from CSV having alpha and probability columns.
 
-    The file must be UTF-8, its header must name each of the two columns
-    once, and no row may have more cells than the header.
+    The file must be UTF-8; comment (``#``) and blank lines are skipped,
+    and the first other line is the header, which must name each of the
+    two columns once; no row may have more cells than the header.
     Alternation counts must be even, >= 0, within float range and listed
     once, probabilities finite and >= 0; anything else is rejected rather
     than silently dropped or overwritten.  A rejection names the file and
@@ -189,30 +190,28 @@ def _read_pdf_file(path: str) -> DiscretePdf:
         for number, line in enumerate(io.StringIO(text, newline=None), 1)
         if not line.startswith("#")
     ]
-    reader = csv.DictReader(line for _, line in numbered)
-
-    def line() -> int:
-        # The inner reader's count is current even when a row fails to parse.
-        return numbered[reader.reader.line_num - 1][0]
-
+    reader = csv.reader(line for _, line in numbered)
+    header: list[str] | None = None  # the first row that is not blank
     entries: dict[int, float] = {}
     try:
-        header = reader.fieldnames  # None when the file has no lines
-        for column in ("alpha", "probability"):
-            if header is not None and column not in header:
-                raise ValueError(
-                    f"{path}, line {line()}: the header has no {column} column"
-                )
-            # DictReader would silently read the last of repeated columns.
-            if header is not None and header.count(column) > 1:
-                raise ValueError(
-                    f"{path}, line {line()}: the header names the {column} "
-                    "column more than once"
-                )
-        for record in reader:
-            where = f"{path}, line {line()}"
-            if None in record:  # DictReader files extra cells under None
+        for cells in reader:
+            where = f"{path}, line {numbered[reader.line_num - 1][0]}"
+            if not cells:  # a blank line
+                continue
+            if header is None:
+                header = cells
+                for column in ("alpha", "probability"):
+                    if column not in header:
+                        raise ValueError(f"{where}: the header has no {column} column")
+                    if header.count(column) > 1:
+                        raise ValueError(
+                            f"{where}: the header names the {column} column "
+                            "more than once"
+                        )
+                continue
+            if len(cells) > len(header):
                 raise ValueError(f"{where}: more cells than the header has columns")
+            record = dict(zip(header, cells))
             alpha = _cell(record, "alpha", int, "an integer", where)
             probability = _cell(record, "probability", float, "a number", where)
             if alpha < 0 or alpha % 2 != 0:
@@ -232,7 +231,8 @@ def _read_pdf_file(path: str) -> DiscretePdf:
                 )
             entries[alpha] = probability
     except csv.Error as exc:  # e.g. a cell over the csv module's size limit
-        raise ValueError(f"{path}, line {line()}: {exc}") from exc
+        line = numbered[reader.line_num - 1][0]  # counts the row that failed
+        raise ValueError(f"{path}, line {line}: {exc}") from exc
     if not entries:
         raise ValueError(f"{path}: no pdf rows found")
     return DiscretePdf(entries, "file")
@@ -243,7 +243,7 @@ _TOO_LARGE = "too large for floating-point arithmetic"
 
 def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | float:
     """One parsed cell of a --pdf-file row, or a ValueError naming it."""
-    text = record[column]
+    text = record.get(column)
     if text is None:
         raise ValueError(f"{where}, column {column}: missing cell")
     if not text.strip():
@@ -267,11 +267,7 @@ def cmd_fit(args) -> str:
         pdf = theoretical_pdf(_spec(args))
     else:
         raise ValueError("fit takes either --pdf-file or both --at and --gc")
-    try:
-        fit = fit_gaussian(pdf)
-    except RuntimeError as exc:  # the least-squares search gave up
-        raise ValueError(f"Gaussian fit did not converge: {exc}") from exc
-    return _render(args, [fit._asdict()])
+    return _render(args, [fit_gaussian(pdf)._asdict()])
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -489,7 +485,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help (0) or a usage error (2)
+            return exc.code
     try:
         _write(args, args.func(args))
     except (ValueError, OSError) as exc:

@@ -68,14 +68,14 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
     is free, not constrained to normalize: the curve traces the pdf
     points.
 
-    A fit whose width falls below a floor or exceeds the span of the
+    Every refused fit is a ValueError: one whose least-squares search
+    gives up, whose width ends at or below a floor (the start width,
+    clamped there, handed back unmoved) or exceeds the span of the
     fitted support (a flat pdf has no peak to fit), whose centre lies
     outside that support's first and last points (a pdf piled against
-    its edge has no peak to fit either), whose start moments
-    or fitted fields are not finite (values too large for float64
-    arithmetic), or whose largest probability is subnormal (too small for
-    it), is rejected with ValueError; RuntimeError means the least-squares
-    search gave up.
+    its edge has no peak to fit either), whose start moments or fitted
+    fields are not finite (values too large for float64 arithmetic), or
+    whose largest probability is subnormal (too small for it).
     """
     import numpy as np
 
@@ -111,14 +111,15 @@ def fit_gaussian(pdf: DiscretePdf) -> GaussianFit:
         start = (peak, mean0, sigma0)
         params, info = lmdif(lambda p: (gaussian(*p) - y).tolist(), start)
         if info in FAILURES:
-            raise RuntimeError("Optimal parameters not found: " + FAILURES[info])
+            reason = "Optimal parameters not found: " + FAILURES[info]
+            raise ValueError(f"Gaussian fit did not converge: {reason}")
         amplitude, alpha0, sigma = params
         sigma = abs(sigma)  # the model is even in sigma
         _require_finite(
             "fitted parameters", alpha0=alpha0, sigma=sigma, amplitude=amplitude
         )
-        if sigma < _SIGMA_FLOOR:
-            raise ValueError(f"fitted width degenerated below {_SIGMA_FLOOR}")
+        if sigma <= _SIGMA_FLOOR:
+            raise ValueError(f"fitted width degenerated to {_SIGMA_FLOOR} or below")
         span = float(x[-1] - x[0])
         if sigma > span:
             raise ValueError(
@@ -177,7 +178,7 @@ def _sweep(specs: list[NecklaceSpec]) -> list[SweepRow]:
     for spec in specs:
         try:
             fit, error = fit_gaussian(theoretical_pdf(spec)), None
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             fit, error = None, str(exc)
         rows.append(SweepRow(spec.total, *spec, fit, error))
     return rows

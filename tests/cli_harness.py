@@ -15,10 +15,7 @@ def run_cli(*argv):
     """(exit code, stdout, stderr) of one in-process `cli.main` run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse rejecting the vector
-            code = exc.code
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 

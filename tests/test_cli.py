@@ -239,35 +239,14 @@ class TestFit:
         assert code == 0, err
         assert out == expected
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.25"])
-    def test_bad_probability_rejected(self, tmp_path, value):
-        path = tmp_path / "bad.csv"
-        rows = ["alpha,probability", "2,0.2", f"4,{value}", "6,0.5", "8,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "finite and >= 0")
-
-    @pytest.mark.parametrize(
-        "alpha, message",
-        [
-            ("3", "must be even and >= 0"),
-            ("-2", "must be even and >= 0"),
-            # int() refuses more digits than the interpreter's limit.
-            ("2" * 5000, "too large for floating-point arithmetic\n"),
-        ],
-        ids=["3", "-2", "past-digit-limit"],
-    )
-    def test_bad_alpha_rejected(self, tmp_path, alpha, message):
-        path = tmp_path / "bad.csv"
-        rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        result = run_cli("fit", "--pdf-file", str(path))
-        assert_usage_error(result, f"line 3, column alpha: {message}")
-
-    def test_repeated_alpha_rejected(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        rows = ["alpha,probability", "2,0.2", "4,0.5", "4,0.01", "6,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "more than once")
+    def test_blank_lines_are_skipped_before_and_after_the_header(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("alpha,probability\n0,0.2\n2,0.6\n4,0.2\n")
+        spaced.write_text("# exported\n\nalpha,probability\n0,0.2\n\n2,0.6\n4,0.2\n\n")
+        _, expected, _ = run_cli("--quiet", "fit", "--pdf-file", str(plain))
+        code, out, err = run_cli("--quiet", "fit", "--pdf-file", str(spaced))
+        assert code == 0, err
+        assert out == expected
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -287,6 +266,18 @@ class TestFit:
             # The csv module refuses cells over its field size limit.
             (["0," + "1" * 200_000], "line 3: field larger than field limit"),
             (["0,0.2", "4,0.1,7"], "line 4: more cells than the header has columns"),
+            (["2,inf"], "line 3, column probability: must be finite and >= 0, got inf"),
+            (["2,-inf"], "line 3, column probability: must be finite and >= 0, got -inf"),
+            (
+                ["2,-0.25"],
+                "line 3, column probability: must be finite and >= 0, got -0.25",
+            ),
+            (["-2,0.2"], "line 3, column alpha: must be even and >= 0, got -2"),
+            # int() refuses more digits than the interpreter's limit.
+            (
+                ["2" * 5000 + ",0.2"],
+                "line 3, column alpha: too large for floating-point arithmetic\n",
+            ),
         ],
     )
     def test_rejected_row_names_file_line_and_column(
@@ -380,21 +371,16 @@ class TestOracleCommand:
 
 
 # Runs `import dna_necklace` or, given arguments, `cli.main(["--quiet",
-# ...])`, which must exit 0 (or print help, as argparse does, with
-# `SystemExit(0)`), then prints three stderr lines: the loaded ones of numpy
-# and scipy, the modules the run added (within one fresh process, so
-# whatever `site` loads at start-up is not counted) and the peak resident
-# set (KiB on Linux).
+# ...])`, which must return 0 (help included), then prints three stderr
+# lines: the loaded ones of numpy and scipy, the modules the run added
+# (within one fresh process, so whatever `site` loads at start-up is not
+# counted) and the peak resident set (KiB on Linux).
 PROBE = """
 import resource, sys
 before = set(sys.modules)
 if sys.argv[1:]:
     from dna_necklace import cli
-    try:
-        code = cli.main(["--quiet", *sys.argv[1:]])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 0
+    assert cli.main(["--quiet", *sys.argv[1:]]) == 0
 else:
     import dna_necklace
 print(",".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
@@ -506,10 +492,13 @@ class TestEntrypoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         assert path.read_bytes() == run_cli(*LARGE_PDF)[1].encode()
 
-    @pytest.mark.parametrize("argv", [SMALL_COUNT, LARGE_PDF], ids=["count", "pdf"])
+    @pytest.mark.parametrize(
+        "argv", [SMALL_COUNT, LARGE_PDF, ["--help"]], ids=["count", "pdf", "help"]
+    )
     def test_closed_pipe_is_a_usage_error(self, argv):
         # The reader closes its end before the child starts.  The small
-        # count fails at the final flush, the pdf while it is written.
+        # count and the help text fail at the final flush, the pdf while
+        # it is written.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -521,9 +510,18 @@ class TestEntrypoint:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_full_device_is_a_usage_error(self):
         # Every write to /dev/full fails, here at the final flush.
-        with open("/dev/full", "w") as full:
-            proc = run_module(*SMALL_COUNT, stdout=full)
-        assert_usage_error(proc, "error: [Errno 28] No space left on device\n")
+        for argv in (SMALL_COUNT, ["--help"]):
+            with open("/dev/full", "w") as full:
+                proc = run_module(*argv, stdout=full)
+            assert_usage_error(proc, "error: [Errno 28] No space left on device\n")
+
+    def test_main_returns_help_and_usage_codes(self):
+        # argparse ends help and its usage errors with SystemExit; `main`
+        # returns that code, so `entrypoint` flushes and exits as for any run.
+        assert run_cli("--help")[0] == 0
+        code, out, err = run_cli("count")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required" in err
 
     def test_closed_stdout_is_a_usage_error(self):
         # File descriptor 1 is closed before the interpreter starts.
@@ -549,10 +547,17 @@ class TestEntrypoint:
             run_cli(*SMALL_COUNT)
 
     def test_only_the_entrypoint_ends_the_process(self):
-        # `os._exit` skips its caller's cleanup and unflushed output, so no
-        # library code may call it.  Each `_exit` named in the package, by
-        # attribute, name or import, with the functions around it:
-        places = []
+        # Where the package may name each of these, by attribute, name or
+        # import, as (file, enclosing functions).  `os._exit` skips its
+        # caller's cleanup and unflushed output, so only the entrypoint
+        # calls it; every refused fit is a ValueError; and only `main`
+        # catches argparse's SystemExit, to return its code.
+        allowed = {
+            "_exit": [("cli.py", "entrypoint")],
+            "RuntimeError": [],
+            "SystemExit": [("cli.py", "main")],
+        }
+        places = {name: [] for name in allowed}
         for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             functions = [
@@ -567,12 +572,12 @@ class TestEntrypoint:
                     else node.name if isinstance(node, ast.alias)
                     else None
                 )
-                if name == "_exit":
+                if name in places:
                     enclosing = [
                         f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno
                     ]
-                    places.append((path.name, *enclosing))
-        assert places == [("cli.py", "entrypoint")]
+                    places[name].append((path.name, *enclosing))
+        assert places == allowed
 
 
 def _command(name, required=(), optional=()):

@@ -93,6 +93,13 @@ class TestFitGaussian:
                 fit_gaussian(theoretical_pdf(NecklaceSpec(3, 3)))
         assert caught == []
 
+    @pytest.mark.parametrize("n_at, n_gc", [(10, 10**15), (3, 2**63)])
+    def test_rejects_width_left_at_the_floor(self, n_at, n_gc):
+        # Nearly all the mass sits on the last point, 2 * n_at: the start
+        # width is clamped to the floor, and the search hands it back unmoved.
+        with pytest.raises(ValueError, match=r"width degenerated to 1e-06 or below"):
+            fit_gaussian(theoretical_pdf(NecklaceSpec(n_at, n_gc)))
+
     @pytest.mark.parametrize("scale", [1e-320, 1e-310])
     def test_rejects_subnormal_pdf(self, scale):
         # At 1e-320 lmdif returned the start moments (sigma = sqrt 2) as a fit.
