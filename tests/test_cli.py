@@ -248,6 +248,38 @@ class TestFit:
         assert code == 0, err
         assert out == expected
 
+    # The next three put the bad cell among good rows of a file with no
+    # comment line; the table after them holds every other input.
+    @pytest.mark.parametrize("value", ["nan"])
+    def test_bad_probability_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        rows = ["alpha,probability", "2,0.2", f"4,{value}", "6,0.5", "8,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            f"error: {path}, line 3, column probability: "
+            f"must be finite and >= 0, got {value}\n",
+        )
+
+    @pytest.mark.parametrize("alpha", ["3"])
+    def test_bad_alpha_rejected(self, tmp_path, alpha):
+        path = tmp_path / "bad.csv"
+        rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            f"error: {path}, line 3, column alpha: must be even and >= 0, got {alpha}\n",
+        )
+
+    def test_repeated_alpha_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        rows = ["alpha,probability", "2,0.2", "4,0.5", "4,0.01", "6,0.3"]
+        path.write_text("\n".join(rows) + "\n")
+        assert_usage_error(
+            run_cli("fit", "--pdf-file", str(path)),
+            f"error: {path}, line 4, column alpha: 4 appears more than once\n",
+        )
+
     @pytest.mark.parametrize(
         "rows, message",
         [
