@@ -19,11 +19,12 @@ argparse parser `build_parser` builds from the table.  So argparse is
 imported only on that path, and output, error text and exit code are
 argparse's either way.
 
-`main` returns every exit code, help (0) and argparse's usage errors (2)
-included; only an interrupt reaches its caller.  `entrypoint` ends every
-run: it flushes the output and ends the process with ``os._exit``,
-skipping interpreter teardown (``atexit`` handlers do not run); a flush
-that fails exits 2 with one ``error:`` line, an interrupt 130 with one.
+`main` parses, runs and writes in one ``try`` and returns every exit
+code, help (0) and usage errors (2) included; only an interrupt reaches
+its caller.  It flushes what it writes, help too, so a failed write
+exits 2 however stdout is buffered; a failed write to stderr changes no
+exit code.  `entrypoint` ends every run with ``os._exit``, skipping
+interpreter teardown (``atexit`` handlers do not run).
 """
 
 from __future__ import annotations
@@ -112,14 +113,16 @@ def _render(args, rows: list[dict]) -> str:
     return out.getvalue()
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "out", None) is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
+def _write(path: str | None, text: str) -> None:
+    """`text` into the file at `path`, or onto stdout, flushed."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     elif sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _spec(args) -> NecklaceSpec:
@@ -415,7 +418,17 @@ def build_parser():
     """The argparse parser of `_COMMANDS`; the only place argparse is imported."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse's writers drop a failed write and, with stderr closed,
+        # put usage errors on stdout.  Here help is output; errors stderr's.
+        def print_help(self, file=None):
+            _write(None, self.format_help())
+
+        def _print_message(self, message, file=None):
+            if sys.stderr is not None:
+                sys.stderr.write(message)
+
+    parser = Parser(
         prog="dna-necklace",
         description=(
             "Exact counts and distributions of AT/GC alternations in "
@@ -483,14 +496,11 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_parse(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # help (0) or a usage error (2)
-            return exc.code
     try:
-        _write(args, args.func(args))
+        args = _fast_parse(argv) or build_parser().parse_args(argv)
+        _write(getattr(args, "out", None), args.func(args))
+    except SystemExit as exc:  # argparse's help (0) or usage error (2)
+        return exc.code
     except (ValueError, OSError) as exc:
         _report("error", exc)
         return USAGE_ERROR
@@ -505,34 +515,28 @@ def main(argv: list[str] | None = None) -> int:
 
 def _report(kind: str, exc: Exception | str) -> None:
     """One stderr line, even for a message with line breaks in it (the
-    least-squares search's failure texts have them)."""
+    least-squares search's failure texts have them); nothing if stderr is
+    closed or the write fails, so the exit code already chosen stands."""
+    if sys.stderr is None:  # started with file descriptor 2 closed
+        return
     message = " ".join(line.strip() for line in str(exc).splitlines())
-    print(f"{kind}: {message}", file=sys.stderr)
+    try:
+        print(f"{kind}: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 def entrypoint() -> None:
     """Run `main` and end the process without interpreter teardown.
 
     Tearing down the loaded modules (numpy, for the fits and Monte Carlo)
-    costs milliseconds after the output is already written.  A final
-    flush that fails (a closed pipe, a full disk) is a usage error,
-    reported like any other; a failure to write that report is ignored.
+    costs milliseconds after `main` has written and flushed the output.
     An interrupt is reported as one ``error: interrupted`` line, not a
-    traceback.
+    traceback, and exits 130.
     """
     try:
         code = main()
     except KeyboardInterrupt:
         code = INTERRUPTED
         _report("error", "interrupted")
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except OSError as exc:
-        code = USAGE_ERROR
-        try:
-            _report("error", exc)
-        except OSError:
-            pass
     os._exit(code)

@@ -19,17 +19,18 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*args, stdout=subprocess.PIPE, **popen_kwargs):
-    """The completed ``python *args`` child process, its stdout captured
-    unless `stdout` names another target (a file descriptor or file
-    object); keywords such as ``preexec_fn`` go to `subprocess.run`.
-    PYTHONUNBUFFERED is dropped, so that a piped stdout is block-buffered
-    as on a user's pipe, and output the program fails to flush is lost."""
+def run_python(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kwargs):
+    """The completed ``python *args`` child process, its stdout and stderr
+    captured unless `stdout` or `stderr` names another target (a file
+    descriptor or file object); keywords such as ``preexec_fn`` go to
+    `subprocess.run`.  PYTHONUNBUFFERED is dropped, so that a piped stdout
+    is block-buffered as on a user's pipe (``-u`` in `args` unbuffers it),
+    and output the program fails to flush is lost."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env=env,
         **popen_kwargs,
