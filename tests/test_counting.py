@@ -29,6 +29,13 @@ def rig_comb(monkeypatch, n, k):
     monkeypatch.setattr(counting, "comb", lambda a, b: real(a, b) + ((a, b) == (n, k)))
 
 
+def rig_pascal(monkeypatch, n, k):
+    """Make the counting kernel's table read C(n, k) one higher than it is."""
+    rows = list(counting._PASCAL)
+    rows[n] = rows[n][:k] + (rows[n][k] + 1,) + rows[n][k + 1 :]
+    monkeypatch.setattr(counting, "_PASCAL", tuple(rows))
+
+
 def raise_from_cli_count(monkeypatch):
     def boom(spec, alpha):
         raise IntegralityError("rigged")
@@ -40,7 +47,13 @@ def raise_from_cli_count(monkeypatch):
     "rig, argv",
     [
         # C(7, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
-        (lambda mp: rig_comb(mp, 7, 4), ["count", "--alpha", "10", "--at", "8", "--gc", "6"]),
+        (lambda mp: rig_pascal(mp, 7, 4), ["count", "--alpha", "10", "--at", "8", "--gc", "6"]),
+        # The same fault past the table, where the kernel calls math.comb:
+        # C(128, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
+        (
+            lambda mp: rig_comb(mp, 128, 4),
+            ["count", "--alpha", "10", "--at", "129", "--gc", "6"],
+        ),
         # phi(2) read as 2 leaves 25 fixed points over 2M = 4.
         (
             lambda mp: mp.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1),
@@ -55,7 +68,13 @@ def raise_from_cli_count(monkeypatch):
         ),
         (raise_from_cli_count, ["count", "--alpha", "2", "--at", "1", "--gc", "1"]),
     ],
-    ids=["identity-comb", "totient-at-two", "past-digit-limit", "cli-count-raises"],
+    ids=[
+        "identity-comb",
+        "identity-comb-past-table",
+        "totient-at-two",
+        "past-digit-limit",
+        "cli-count-raises",
+    ],
 )
 def test_integrality_failure_exits_three(monkeypatch, rig, argv):
     rig(monkeypatch)
@@ -172,7 +191,7 @@ class TestClosedFormKernel:
         # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
         # identity rotation's C(7, 4) * C(5, 4), which 2M = 10 does not
         # divide; gcd(5, 8, 6) = 1, so no other rotation contributes.
-        rig_comb(monkeypatch, 7, 4)
+        rig_pascal(monkeypatch, 7, 4)
         with pytest.raises(IntegralityError, match="not divisible"):
             count_necklaces(NecklaceSpec(8, 6), 10)
 
@@ -191,6 +210,35 @@ class TestClosedFormKernel:
         monkeypatch.setattr(counting, "_totient", lambda d: real(d) + (d == 3))
         with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
             count_necklaces(NecklaceSpec(6, 12), 12)
+
+
+# Contents on which the table and math.comb paths of the kernel are
+# compared: every one with both colors <= 64, and a band where one color
+# crosses the table's last row (n = 128 reads C(127, .)).
+PATH_CONTENTS = {
+    "both-colors-to-64": [(a, b) for a in range(65) for b in range(65) if a or b],
+    "one-color-120-to-136": [
+        pair
+        for a in range(120, 137)
+        for b in range(1, 137, 5)
+        for pair in [(a, b), (b, a)]
+    ],
+}
+
+
+class TestPascalTable:
+    def test_entries_are_binomials(self):
+        assert len(counting._PASCAL) == counting._PASCAL_ROWS
+        for n, row in enumerate(counting._PASCAL):
+            assert list(row) == [math.comb(n, k) for k in range(n + 1)], n
+
+    @pytest.mark.parametrize("group", list(PATH_CONTENTS))
+    def test_table_path_matches_comb_path(self, monkeypatch, group):
+        specs = [NecklaceSpec(a, b) for a, b in PATH_CONTENTS[group]]
+        table = [alternation_distribution(spec) for spec in specs]
+        monkeypatch.setattr(counting, "_PASCAL_ROWS", 0)
+        for spec, counts in zip(specs, table):
+            assert alternation_distribution(spec) == counts, spec
 
 
 class TestCountNecklaces:
