@@ -9,12 +9,12 @@ balanced chains the L1 distance between the pdfs, in exact arithmetic, is
 0.116 at (6, 6), 0.0143 at (10, 10), 2.9e-5 at (20, 20) and 6.7e-14 at
 (50, 50).
 
-Production counts come from a closed-form integer Burnside sum over the
-dihedral group acting on the 2M containers (`count_necklaces`).  When
+Production counts come from one closed-form integer Burnside sum over
+the dihedral group acting on the 2M containers (`count_necklaces`).  When
 both colors hold at most 128 beads, every binomial it reads is C(n, k)
-with n <= 127, and it reads it from `_PASCAL`: rows 0..127 of Pascal's
-triangle, built at import by additions alone (8 256 ints in about
-0.36 MB, about 1 ms in a fresh process).  Larger contents call
+with n <= 127, read from `_PASCAL`: rows 0..127 of Pascal's triangle,
+built at import by additions alone (8 256 ints in about 0.36 MB, about
+1 ms in a fresh process).  Larger contents read the same C(n, k) from
 math.comb, as `bracelet_count_direct` always does.  The general route
 that substitutes the weight series into the bipartite cycle index gives
 the same numbers; it lives with the tests
@@ -103,6 +103,24 @@ _PASCAL_ROWS = 128
 _PASCAL = _pascal_rows(_PASCAL_ROWS)
 
 
+class _CombRow(int):
+    """Row n of Pascal's triangle past the table: row[k] is comb(n, k)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> int:
+        return comb(self, k)
+
+
+class _CombRows:
+    """Reads as `_PASCAL` does, for any row: rows[n][k] is comb(n, k)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, n: int) -> _CombRow:
+        return _CombRow(n)
+
+
 # The package's records are namedtuple subclasses, not dataclasses:
 # `dataclasses` loads `inspect`, `ast` and `dis` and execs generated
 # methods, which made every command start noticeably slower.  The class
@@ -170,9 +188,11 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
       when both colors are even, M C(odd//2, k) C(even/2-1, k-1) when
       exactly one is, and none when both are odd.
 
-    Once 1 <= M <= min(n_at, n_gc) every C(n, k) read has 0 <= k <= n,
-    so each is an entry of its table row.  The fixed-point total must
-    divide by the group order 2M; a remainder raises IntegralityError.
+    The sum reads every C(n, k) as c[n][k]: from `_PASCAL` when each
+    color holds at most `_PASCAL_ROWS` beads, else from `_CombRows`,
+    which calls math.comb.  Once 1 <= M <= min(n_at, n_gc) every read has
+    0 <= k <= n, so each is an entry of its row.  The fixed-point total
+    must divide by the group order 2M; a remainder raises IntegralityError.
     """
     if alpha < 0 or alpha & 1:
         if alpha < 0:
@@ -186,47 +206,24 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
         return 1 if (n_at == 0) != (n_gc == 0) else 0
     g = gcd(m, n_at, n_gc)
     k = m >> 1
-    # The same sum twice: read from the table while every top index is
-    # one of its rows, else from math.comb.  Tests hold the two equal.
-    if n_at <= _PASCAL_ROWS and n_gc <= _PASCAL_ROWS:
-        c = _PASCAL
-        fixed = c[n_at - 1][m - 1] * c[n_gc - 1][m - 1]
-        if g > 1:
-            for d in range(2, g + 1):
-                if g % d == 0:
-                    fixed += (
-                        _totient(d) * c[n_at // d - 1][m // d - 1] * c[n_gc // d - 1][m // d - 1]
-                    )
-        if m & 1:
-            fixed += m * c[(n_at - 1) >> 1][k] * c[(n_gc - 1) >> 1][k]
-        elif not n_at & 1:
-            if n_gc & 1:
-                fixed += m * c[n_gc >> 1][k] * c[(n_at >> 1) - 1][k - 1]
-            else:
-                paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]
-                fixed += (n_at + n_gc - m) * paired
-        elif not n_gc & 1:
-            fixed += m * c[n_at >> 1][k] * c[(n_gc >> 1) - 1][k - 1]
-    else:
-        fixed = comb(n_at - 1, m - 1) * comb(n_gc - 1, m - 1)
-        if g > 1:
-            for d in range(2, g + 1):
-                if g % d == 0:
-                    fixed += (
-                        _totient(d)
-                        * comb(n_at // d - 1, m // d - 1)
-                        * comb(n_gc // d - 1, m // d - 1)
-                    )
-        if m & 1:
-            fixed += m * comb((n_at - 1) >> 1, k) * comb((n_gc - 1) >> 1, k)
-        elif not n_at & 1:
-            if n_gc & 1:
-                fixed += m * comb(n_gc >> 1, k) * comb((n_at >> 1) - 1, k - 1)
-            else:
-                paired = comb((n_at >> 1) - 1, k - 1) * comb((n_gc >> 1) - 1, k - 1)
-                fixed += (n_at + n_gc - m) * paired
-        elif not n_gc & 1:
-            fixed += m * comb(n_at >> 1, k) * comb((n_gc >> 1) - 1, k - 1)
+    c = _PASCAL if n_at <= _PASCAL_ROWS and n_gc <= _PASCAL_ROWS else _CombRows()
+    fixed = c[n_at - 1][m - 1] * c[n_gc - 1][m - 1]
+    if g > 1:
+        for d in range(2, g + 1):
+            if g % d == 0:
+                fixed += (
+                    _totient(d) * c[n_at // d - 1][m // d - 1] * c[n_gc // d - 1][m // d - 1]
+                )
+    if m & 1:
+        fixed += m * c[(n_at - 1) >> 1][k] * c[(n_gc - 1) >> 1][k]
+    elif not n_at & 1:
+        if n_gc & 1:
+            fixed += m * c[n_gc >> 1][k] * c[(n_at >> 1) - 1][k - 1]
+        else:
+            paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]
+            fixed += (n_at + n_gc - m) * paired
+    elif not n_gc & 1:
+        fixed += m * c[n_at >> 1][k] * c[(n_gc >> 1) - 1][k - 1]
     order = 2 * m
     if fixed % order:
         raise _not_divisible(fixed, order)

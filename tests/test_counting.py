@@ -212,9 +212,10 @@ class TestClosedFormKernel:
             count_necklaces(NecklaceSpec(6, 12), 12)
 
 
-# Contents on which the table and math.comb paths of the kernel are
-# compared: every one with both colors <= 64, and a band where one color
-# crosses the table's last row (n = 128 reads C(127, .)).
+# Contents on which the kernel's one sum is evaluated from both binomial
+# sources, the table and math.comb: every one with both colors <= 64, and
+# a band where one color crosses the table's last row (n = 128 reads
+# C(127, .)).
 PATH_CONTENTS = {
     "both-colors-to-64": [(a, b) for a in range(65) for b in range(65) if a or b],
     "one-color-120-to-136": [
@@ -239,6 +240,32 @@ class TestPascalTable:
         monkeypatch.setattr(counting, "_PASCAL_ROWS", 0)
         for spec, counts in zip(specs, table):
             assert alternation_distribution(spec) == counts, spec
+
+    def test_no_read_leaves_its_row(self, monkeypatch):
+        # Both sources read the same (n, k).  A table read with k < 0 would
+        # wrap to the row's end, so every read through math.comb is
+        # recorded when it falls outside 0 <= k <= n.
+        real = counting.comb
+        outside = []
+
+        def checked(n, k):
+            if not 0 <= k <= n:
+                outside.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(counting, "_PASCAL_ROWS", 0)
+        monkeypatch.setattr(counting, "comb", checked)
+        for contents in PATH_CONTENTS.values():
+            for a, b in contents:
+                alternation_distribution(NecklaceSpec(a, b))
+        assert outside == []
+
+    def test_comb_rows_are_binomials(self):
+        rows = counting._CombRows()
+        for n in range(126, 131):
+            assert [rows[n][k] for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
+        for k in (0, 1, 3749, 7499):
+            assert rows[7499][k] == math.comb(7499, k), k
 
 
 class TestCountNecklaces:
