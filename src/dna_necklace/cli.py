@@ -29,7 +29,6 @@ interpreter teardown (``atexit`` handlers do not run).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
@@ -104,6 +103,8 @@ def _render(args, rows: list[dict]) -> str:
             envelope["parameters"] = _parameters(args)
         envelope["rows"] = rows
         return json.dumps(envelope, indent=2) + "\n"
+    import csv
+
     out = io.StringIO()
     out.write(_provenance(args))
     writer = csv.writer(out, lineterminator="\n")
@@ -176,6 +177,8 @@ def _read_pdf_file(path: str) -> DiscretePdf:
     than silently dropped or overwritten.  A rejection names the file and
     the line, and the column when one cell is at fault.
     """
+    import csv
+
     with open(path, "rb") as handle:
         data = handle.read()
     try:

@@ -121,6 +121,9 @@ class _CombRows:
         return _CombRow(n)
 
 
+_COMB_ROWS = _CombRows()
+
+
 # The package's records are namedtuple subclasses, not dataclasses:
 # `dataclasses` loads `inspect`, `ast` and `dis` and execs generated
 # methods, which made every command start noticeably slower.  The class
@@ -189,7 +192,7 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
       exactly one is, and none when both are odd.
 
     The sum reads every C(n, k) as c[n][k]: from `_PASCAL` when each
-    color holds at most `_PASCAL_ROWS` beads, else from `_CombRows`,
+    color holds at most `_PASCAL_ROWS` beads, else from `_COMB_ROWS`,
     which calls math.comb.  Once 1 <= M <= min(n_at, n_gc) every read has
     0 <= k <= n, so each is an entry of its row.  The fixed-point total
     must divide by the group order 2M; a remainder raises IntegralityError.
@@ -206,7 +209,7 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
         return 1 if (n_at == 0) != (n_gc == 0) else 0
     g = gcd(m, n_at, n_gc)
     k = m >> 1
-    c = _PASCAL if n_at <= _PASCAL_ROWS and n_gc <= _PASCAL_ROWS else _CombRows()
+    c = _PASCAL if n_at <= _PASCAL_ROWS and n_gc <= _PASCAL_ROWS else _COMB_ROWS
     fixed = c[n_at - 1][m - 1] * c[n_gc - 1][m - 1]
     if g > 1:
         for d in range(2, g + 1):

@@ -16,6 +16,10 @@ Paths in use: `empirical_pdf` and the `mc` command use (i,) for set i;
 `convergence_study` uses (j, i) for run-count index j and set index i.
 Any reported row is re-derivable from its emitted subseed alone.
 
+`empirical_pdf` and `convergence_study` are the library's convergence
+API; no command prints their records.  A `ConvergenceRow` holds one run
+count's per-set distances, and their summary is the caller's to take.
+
 Memory: a set's chains are drawn and counted in blocks of at most two
 times _BLOCK_BYTES (one chain at the least), whatever the run count and
 the chain length, and the histogram holds one slot per possible
@@ -44,9 +48,7 @@ class MCConfig(namedtuple("MCConfig", "spec runs seed sets")):
     seed: int
     sets: int
 
-    def __new__(
-        cls, spec: NecklaceSpec, runs: int, seed: int, sets: int = 5
-    ) -> MCConfig:
+    def __new__(cls, spec: NecklaceSpec, runs: int, seed: int, sets: int) -> MCConfig:
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         if sets < 1:
@@ -158,13 +160,11 @@ def total_abs_diff(p: DiscretePdf, q: DiscretePdf) -> float:
     return sum(abs(p.prob(alpha) - q.prob(alpha)) for alpha in keys)
 
 
-class ConvergenceRow(
-    namedtuple("ConvergenceRow", "runs mean_d std_d d_values", defaults=((),))
-):
+class ConvergenceRow(namedtuple("ConvergenceRow", "runs d_values")):
+    """One run count's distances to the theoretical pdf, one per set."""
+
     __slots__ = ()
     runs: int
-    mean_d: float
-    std_d: float
     d_values: tuple[float, ...]
 
 
@@ -178,29 +178,21 @@ def convergence_study(
 
     For each run count, `sets` independent simulations (stream (j, i) for
     run-count index j, set i) are compared against the theoretical pdf;
-    the row carries the mean and population standard deviation of the
-    per-set distances (a single set reports a standard deviation of 0).
-    Each run count makes an `MCConfig`, so run counts, `sets` and `seed`
-    are checked as there, before any sampling.
+    the row carries the per-set distances in set order.  Each run count
+    makes an `MCConfig`, so run counts, `sets` and `seed` are checked as
+    there, before any sampling.
     """
-    import numpy as np
-
     if not run_counts:
         raise ValueError("run_counts must be non-empty")
     configs = [MCConfig(spec, runs, seed, sets) for runs in run_counts]
     reference = theoretical_pdf(spec)
-    rows = []
-    for j, config in enumerate(configs):
-        distances = [
-            total_abs_diff(_run_set(config, j, i)[2], reference)
-            for i in range(sets)
-        ]
-        rows.append(
-            ConvergenceRow(
-                runs=config.runs,
-                mean_d=float(np.mean(distances)),
-                std_d=float(np.std(distances)),
-                d_values=tuple(distances),
-            )
+    return [
+        ConvergenceRow(
+            config.runs,
+            tuple(
+                total_abs_diff(_run_set(config, j, i)[2], reference)
+                for i in range(sets)
+            ),
         )
-    return rows
+        for j, config in enumerate(configs)
+    ]

@@ -145,9 +145,7 @@ def _require_finite(what: str, **values: float) -> None:
         )
 
 
-class SweepRow(
-    namedtuple("SweepRow", "n n_at n_gc fit error", defaults=(None, None))
-):
+class SweepRow(namedtuple("SweepRow", "n n_at n_gc fit error")):
     """One sweep row; `fit` is None when the row failed, with the reason."""
 
     __slots__ = ()

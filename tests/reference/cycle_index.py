@@ -43,11 +43,6 @@ class CycleTerm:
     y_cycles: Monomial
 
 
-@dataclass(frozen=True)
-class BipartiteCycleIndex:
-    terms: tuple[CycleTerm, ...]
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order, including 1 and n."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -63,8 +58,8 @@ def _monomial(exponents: dict[int, int]) -> Monomial:
     return tuple(sorted((d, e) for d, e in exponents.items() if e > 0))
 
 
-def dihedral_bipartite_index(m: int) -> BipartiteCycleIndex:
-    """Index of the full rotation+reflection action on the 2M containers.
+def dihedral_bipartite_index(m: int) -> tuple[CycleTerm, ...]:
+    """Terms of the index of the rotation+reflection action on 2M containers.
 
     The M rotations whose container permutation splits into d-cycles
     number phi(d) for each divisor d of M, contributing phi(d)/2M
@@ -88,7 +83,7 @@ def dihedral_bipartite_index(m: int) -> BipartiteCycleIndex:
         across = _monomial({2: m // 2})
         terms.append(CycleTerm(Fraction(1, 4), through, across))
         terms.append(CycleTerm(Fraction(1, 4), across, through))
-    return BipartiteCycleIndex(tuple(terms))
+    return tuple(terms)
 
 
 def weight_coeff(r: int, factor: tuple[int, int]) -> int:
@@ -119,7 +114,7 @@ def product_weight_coeff(r: int, factors: Monomial) -> int:
     )
 
 
-def count_orbits(index: BipartiteCycleIndex, n_at: int, n_gc: int) -> int:
+def count_orbits(terms: tuple[CycleTerm, ...], n_at: int, n_gc: int) -> int:
     """Number of distinct colorings with bead totals (n_at, n_gc).
 
     Substitutes the weight series f for every variable and extracts the
@@ -129,7 +124,7 @@ def count_orbits(index: BipartiteCycleIndex, n_at: int, n_gc: int) -> int:
     exact; a non-integer total raises IntegralityError.
     """
     total = Fraction(0)
-    for term in index.terms:
+    for term in terms:
         cx = product_weight_coeff(n_at, term.x_cycles)
         cy = product_weight_coeff(n_gc, term.y_cycles)
         total += term.coeff * cx * cy

@@ -454,7 +454,8 @@ _PROBE_ROWS = [
 class TestImportBoundary:
     """Counting needs neither library, Monte Carlo and the fits need numpy,
     and nothing needs scipy.  Nor does counting load the heavier standard
-    modules (json only writes JSON output), and no plain command line
+    modules (json only writes JSON output), a count loads no csv (which
+    only writes tables and reads --pdf-file), and no plain command line
     loads argparse."""
 
     @pytest.mark.parametrize("argv, loaded", _PROBE_ROWS)
@@ -484,6 +485,11 @@ class TestImportBoundary:
         assert "dna_necklace" in added
         heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing", "json"}
         assert added & heavy == set()
+
+    def test_count_loads_no_csv(self):
+        added = probe("count", "--alpha", "10", "--at", "8", "--gc", "6")[1]
+        assert "dna_necklace" in added
+        assert added & {"csv", "_csv"} == set()
 
 
 SMALL_COUNT = ["count", "--alpha", "26", "--at", "21", "--gc", "64"]

@@ -4,6 +4,7 @@ import pytest
 from dna_necklace import montecarlo
 from dna_necklace.counting import NecklaceSpec
 from dna_necklace.montecarlo import (
+    ConvergenceRow,
     MCConfig,
     alternation_histogram,
     convergence_study,
@@ -90,18 +91,18 @@ class TestSampling:
 
 class TestEmpiricalPdf:
     def test_forced_distributions(self):
-        pdf = empirical_pdf(MCConfig(NecklaceSpec(1, 1), runs=100, seed=3))
+        pdf = empirical_pdf(MCConfig(NecklaceSpec(1, 1), runs=100, seed=3, sets=1))
         assert pdf.entries == {2: 1.0}
         assert pdf.provenance == "empirical"
-        pdf = empirical_pdf(MCConfig(NecklaceSpec(0, 5), runs=100, seed=3))
+        pdf = empirical_pdf(MCConfig(NecklaceSpec(0, 5), runs=100, seed=3, sets=1))
         assert pdf.entries == {0: 1.0}
 
     def test_deterministic_for_fixed_seed(self):
-        config = MCConfig(NecklaceSpec(30, 20), runs=5000, seed=99)
+        config = MCConfig(NecklaceSpec(30, 20), runs=5000, seed=99, sets=1)
         assert empirical_pdf(config).entries == empirical_pdf(config).entries
 
     def test_sets_use_distinct_streams(self):
-        config = MCConfig(NecklaceSpec(30, 20), runs=5000, seed=99)
+        config = MCConfig(NecklaceSpec(30, 20), runs=5000, seed=99, sets=2)
         assert empirical_pdf(config, 0).entries != empirical_pdf(config, 1).entries
 
     @pytest.mark.parametrize("set_index", [2, 5, -1])
@@ -116,7 +117,7 @@ class TestEmpiricalPdf:
         # 20000-run histogram sits well inside d < 0.1 of the exact pdf.
         from dna_necklace.stats import theoretical_pdf
 
-        config = MCConfig(NecklaceSpec(50, 50), runs=20000, seed=1)
+        config = MCConfig(NecklaceSpec(50, 50), runs=20000, seed=1, sets=1)
         d = total_abs_diff(empirical_pdf(config), theoretical_pdf(config.spec))
         assert d < 0.1
         assert abs(d - 0.0168575632640574) < 1e-12
@@ -141,12 +142,16 @@ class TestTotalAbsDiff:
 class TestConvergenceStudy:
     def test_exact_for_forced_distribution(self):
         rows = convergence_study(NecklaceSpec(1, 1), [10, 100], sets=3, seed=4)
-        assert [row.mean_d for row in rows] == [0.0, 0.0]
+        assert rows == [ConvergenceRow(10, (0.0,) * 3), ConvergenceRow(100, (0.0,) * 3)]
 
     def test_single_set_reports_zero_spread(self):
+        from dna_necklace.stats import theoretical_pdf
+
         rows = convergence_study(NecklaceSpec(10, 10), [500], sets=1, seed=4)
-        assert rows[0].std_d == 0.0
-        assert len(rows[0].d_values) == 1
+        config = MCConfig(NecklaceSpec(10, 10), runs=500, seed=4, sets=1)
+        empirical = montecarlo._run_set(config, 0, 0)[2]
+        d = total_abs_diff(empirical, theoretical_pdf(config.spec))
+        assert rows[0].d_values == (d,)
 
     def test_deterministic(self):
         a = convergence_study(NecklaceSpec(20, 20), [200, 400], sets=2, seed=8)

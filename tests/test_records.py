@@ -29,7 +29,7 @@ FIT_REPR = "GaussianFit(alpha0=50.5, sigma=5.0, amplitude=0.16, rmse=4.5e-05)"
 RECORDS = [
     (SPEC, "NecklaceSpec(n_at=3, n_gc=5)"),
     (
-        MCConfig(SPEC, 10, 1),
+        MCConfig(SPEC, 10, 1, 5),
         "MCConfig(spec=NecklaceSpec(n_at=3, n_gc=5), runs=10, seed=1, sets=5)",
     ),
     (
@@ -38,30 +38,23 @@ RECORDS = [
     ),
     (FIT, FIT_REPR),
     (
-        SweepRow(6, 3, 3, error="support too small"),
+        SweepRow(6, 3, 3, None, "support too small"),
         "SweepRow(n=6, n_at=3, n_gc=3, fit=None, error='support too small')",
     ),
     (
-        SweepRow(8, 3, 5, FIT),
+        SweepRow(8, 3, 5, FIT, None),
         f"SweepRow(n=8, n_at=3, n_gc=5, fit={FIT_REPR}, error=None)",
     ),
     (
-        SweepRow(84, 12, 72, FIT),
+        SweepRow(84, 12, 72, FIT, None),
         f"SweepRow(n=84, n_at=12, n_gc=72, fit={FIT_REPR}, error=None)",
     ),
     (
-        RatioSweepResult([SweepRow(8, 4, 4, error="x")]),
+        RatioSweepResult([SweepRow(8, 4, 4, None, "x")]),
         "RatioSweepResult(rows=[SweepRow(n=8, n_at=4, n_gc=4, fit=None, "
         "error='x')], slope=None, intercept=None)",
     ),
-    (
-        ConvergenceRow(100, 0.1, 0.0, (0.1,)),
-        "ConvergenceRow(runs=100, mean_d=0.1, std_d=0.0, d_values=(0.1,))",
-    ),
-    (
-        ConvergenceRow(100, 0.1, 0.0),
-        "ConvergenceRow(runs=100, mean_d=0.1, std_d=0.0, d_values=())",
-    ),
+    (ConvergenceRow(100, (0.1,)), "ConvergenceRow(runs=100, d_values=(0.1,))"),
 ]
 
 
@@ -111,7 +104,7 @@ def test_validation_holds_on_every_route(build, cls, valid, change):
 
 
 @pytest.mark.parametrize(
-    "record", [SPEC, MCConfig(SPEC, 10, 1), FIT, ConvergenceRow(10, 0.1, 0.0, (0.1,))]
+    "record", [SPEC, MCConfig(SPEC, 10, 1, 5), FIT, ConvergenceRow(10, (0.1,))]
 )
 def test_pickle_and_replace_round_trip(record):
     assert pickle.loads(pickle.dumps(record)) == record
@@ -125,15 +118,17 @@ def test_equal_specs_are_equal_and_hash_alike():
     assert same == SPEC and same is not SPEC
     assert hash(same) == hash(SPEC)
     assert len({SPEC, same, NecklaceSpec(5, 3)}) == 2
-    assert MCConfig(SPEC, 10, 1) == MCConfig(spec=same, runs=10, seed=1, sets=5)
+    assert MCConfig(SPEC, 10, 1, 5) == MCConfig(spec=same, runs=10, seed=1, sets=5)
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert MCConfig(SPEC, 10, 1).sets == 5
     assert DiscretePdf({}).provenance == "theoretical"
-    assert SweepRow(8, 4, 4) == (8, 4, 4, None, None)
     assert RatioSweepResult([]).slope is None
-    assert ConvergenceRow(1, 0.0, 0.0).d_values == ()
+    # Every production caller passes every field of the other records.
+    for cls in (MCConfig, SweepRow, ConvergenceRow):
+        assert cls._field_defaults == {}, cls
+    with pytest.raises(TypeError):
+        MCConfig(SPEC, 10, 1)
 
 
 def test_sweep_error_rows_keep_fit_none():
