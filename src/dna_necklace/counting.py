@@ -21,8 +21,10 @@ the same numbers; it lives with the tests
 (``tests/reference``), which compare the two.  Counts are plain Python
 ints, so they never overflow.  The tests check totals exactly against an
 independent Burnside sum over bead positions (`bracelet_count_direct`) up
-to chains of 3 000 base pairs, and the command line prints counts of more
-than 4 300 digits exactly (chains of 15 000 and 52 500 base pairs).
+to chains of 3 000 base pairs.  The command line prints counts past the
+interpreter's digit limit exactly: `count` at (7500, 7500), 4 507 digits
+past the default 4 300, and `pdf` at (1200, 1200), 720 digits past a
+limit lowered to 640.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ from .counting import NecklaceSpec, alternation_distribution
 _SIGMA_FLOOR = 1e-6
 
 
-class DiscretePdf(
-    namedtuple("DiscretePdf", "entries provenance", defaults=("theoretical",))
-):
+class DiscretePdf(namedtuple("DiscretePdf", "entries provenance")):
     """Probability distribution over even alternation counts.
 
     `provenance` is "theoretical" (exact counts normalized), "empirical"

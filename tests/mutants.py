@@ -1,12 +1,14 @@
-"""Kernel faults the suite must catch, one row each.
+"""Faults the suite must catch, one row each: in the counting kernel and
+in the `fit --pdf-file` reader.
 
 A row names a file of the tree, a text in it, the text that replaces it
-and the test modules that must fail once it is replaced.  The old text
-must occur exactly once in its file, so a refactor that moves or rewrites
-it fails the gate loudly instead of dropping the mutant: rewrite the row
-against the new code.  Each row names the fewest modules that kill it,
-since every row costs one pytest start.  `tests/test_mutants.py` runs the
-table; a new kernel adds its mutants here.
+and the tests that must fail once it is replaced: modules, or one test's
+node id.  The old text must occur exactly once in its file, so a refactor
+that moves or rewrites it fails the gate loudly instead of dropping the
+mutant: rewrite the row against the new code.  Each row names the fewest
+tests that kill it, since every row costs one pytest start.
+`tests/test_mutants.py` runs the table; a new kernel or reader check adds
+its mutants here.
 """
 
 from collections import namedtuple
@@ -14,10 +16,14 @@ from collections import namedtuple
 Mutant = namedtuple("Mutant", "name path old new modules")
 
 COUNTING = "src/dna_necklace/counting.py"
+CLI = "src/dna_necklace/cli.py"
 # Criteria 1 and 2 (the worked example and the oracle comparison) kill
 # every kernel row below in about half a second; test_counting.py alone
 # runs four times as long.
 ACCEPTANCE = ("tests/test_acceptance.py",)
+# The table of refused --pdf-file inputs, which kills each reader row in
+# about a second of pytest.
+REFUSED_FILES = ("tests/test_cli.py::test_refused_pdf_file",)
 
 MUTANTS = [
     Mutant(
@@ -72,9 +78,23 @@ MUTANTS = [
         "        for d in range(2, g):",
         ACCEPTANCE,
     ),
+    Mutant(
+        "pdf-file-repeated-alpha-kept",
+        CLI,
+        "if alpha in entries:",
+        "if False:",
+        REFUSED_FILES,
+    ),
+    Mutant(
+        "pdf-file-odd-alpha-kept",
+        CLI,
+        "alpha < 0 or alpha % 2 != 0",
+        "alpha < 0",
+        REFUSED_FILES,
+    ),
 ]
 
-# The unmutated tree must pass every module a row names, so a kill is the
+# The unmutated tree must pass every test a row names, so a kill is the
 # mutant's doing.
 CONTROL = Mutant(
     "control",

@@ -44,14 +44,6 @@ def int_digit_limit(limit):
 
 
 class TestCount:
-    def test_odd_alpha_rejected(self):
-        result = run_cli("count", "--alpha", "3", "--at", "5", "--gc", "5")
-        assert_usage_error(result, "must be even")
-
-    def test_empty_spec_rejected(self):
-        result = run_cli("count", "--alpha", "0", "--at", "0", "--gc", "0")
-        assert_usage_error(result, "empty necklace")
-
     def test_count_past_digit_limit(self):
         # 4 507 digits: past the default limit of 4 300 on `str(int)`.
         limit = sys.get_int_max_str_digits()
@@ -107,10 +99,6 @@ class TestPdf:
 
 
 class TestMc:
-    def test_zero_runs_rejected(self):
-        result = run_cli("mc", "--at", "2", "--gc", "2", "--runs", "0")
-        assert_usage_error(result, "runs must be >= 1")
-
     @pytest.mark.skipif(sys.platform != "linux", reason="the probe reads Linux's VmHWM")
     def test_memory_is_bounded_by_the_block_budget(self):
         # A block holds at most two budgets, its chains and their
@@ -133,23 +121,6 @@ class TestMc:
 
 
 class TestFit:
-    def test_tiny_support_rejected(self):
-        assert_usage_error(run_cli("fit", "--at", "1", "--gc", "1"), "support too small")
-
-    def test_missing_inputs_rejected(self):
-        assert_usage_error(run_cli("fit"), "--pdf-file")
-
-    def test_pdf_file_and_content_rejected(self, tmp_path):
-        # A readable file, so that only the mix of inputs is at fault.
-        path = tmp_path / "pdf.csv"
-        code, _, _ = run_cli("pdf", "--at", "10", "--gc", "10", "--out", str(path))
-        assert code == 0
-        for content in (["--at", "10", "--gc", "10"], ["--gc", "10"]):
-            assert_usage_error(
-                run_cli("fit", "--pdf-file", str(path), *content),
-                "error: fit takes either --pdf-file or both --at and --gc\n",
-            )
-
     def test_fit_from_synthetic_file(self, tmp_path):
         path = tmp_path / "gauss.csv"
         lines = ["alpha,probability"]
@@ -172,22 +143,6 @@ class TestFit:
         _, direct, _ = run_cli("--quiet", "fit", "--at", "50", "--gc", "50")
         file_row, direct_row = parse_csv(out)[0], parse_csv(direct)[0]
         assert abs(float(file_row["alpha0"]) - float(direct_row["alpha0"])) < 1e-9
-
-    def test_non_converging_fit_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "spiky.csv"
-        path.write_text("alpha,probability\n2,1\n4,0\n6,1\n8,0\n10,1e-300\n")
-        assert_usage_error(run_cli("fit", "--pdf-file", str(path)), "did not converge")
-
-    def test_line_broken_failure_text_is_one_error_line(self, tmp_path):
-        # The search stops on MINPACK info 8, whose message (worded as
-        # scipy's) breaks its line before "the Jacobian".
-        path = tmp_path / "stalled.csv"
-        rows = ["0,0.9", "4,0.9", "18,4.9406564584e-314", "22,1e-15", "36,1e-300"]
-        path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            "func(x) is orthogonal to the columns of the Jacobian to machine precision.\n",
-        )
 
     def test_flat_pdf_is_a_usage_error(self):
         # (3, 3) has three equally likely alternation values: the fitted
@@ -214,157 +169,6 @@ class TestFit:
         assert_usage_error(proc, reason)
         assert "Warning" not in proc.stderr
 
-    def test_centre_outside_the_support_is_a_usage_error(self, tmp_path):
-        # (5, 640) has 96.9 % of its mass on its last point, 10; the curve
-        # through its points peaks past it.
-        assert_usage_error(
-            run_cli("fit", "--at", "5", "--gc", "640"),
-            "error: fitted centre 14.7469 lies outside the support [2, 10]: "
-            "the pdf has no peak to fit\n",
-        )
-        # A file that rises to its last point: a Gaussian tail centred at 10.
-        path = tmp_path / "rising.csv"
-        rows = [f"{a},{math.exp(-((a - 10) ** 2) / 18)!r}" for a in (0, 2, 4, 6)]
-        path.write_text("\n".join(["alpha,probability", *rows]) + "\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            "error: fitted centre 10 lies outside the support [0, 6]",
-        )
-
-    def test_byte_order_mark_is_ignored(self, tmp_path):
-        text = "# exported\nalpha,probability\n0,0.2\n2,0.6\n4,0.2\n"
-        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        plain.write_bytes(text.encode("utf-8"))
-        marked.write_bytes(text.encode("utf-8-sig"))
-        _, expected, _ = run_cli("--quiet", "fit", "--pdf-file", str(plain))
-        code, out, err = run_cli("--quiet", "fit", "--pdf-file", str(marked))
-        assert code == 0, err
-        assert out == expected
-
-    def test_blank_lines_are_skipped_before_and_after_the_header(self, tmp_path):
-        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
-        plain.write_text("alpha,probability\n0,0.2\n2,0.6\n4,0.2\n")
-        spaced.write_text("# exported\n\nalpha,probability\n0,0.2\n\n2,0.6\n4,0.2\n\n")
-        _, expected, _ = run_cli("--quiet", "fit", "--pdf-file", str(plain))
-        code, out, err = run_cli("--quiet", "fit", "--pdf-file", str(spaced))
-        assert code == 0, err
-        assert out == expected
-
-    # The next three put the bad cell among good rows of a file with no
-    # comment line; the table after them holds every other input.
-    @pytest.mark.parametrize("value", ["nan"])
-    def test_bad_probability_rejected(self, tmp_path, value):
-        path = tmp_path / "bad.csv"
-        rows = ["alpha,probability", "2,0.2", f"4,{value}", "6,0.5", "8,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            f"error: {path}, line 3, column probability: "
-            f"must be finite and >= 0, got {value}\n",
-        )
-
-    @pytest.mark.parametrize("alpha", ["3"])
-    def test_bad_alpha_rejected(self, tmp_path, alpha):
-        path = tmp_path / "bad.csv"
-        rows = ["alpha,probability", "2,0.2", f"{alpha},0.1", "6,0.5", "8,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            f"error: {path}, line 3, column alpha: must be even and >= 0, got {alpha}\n",
-        )
-
-    def test_repeated_alpha_rejected(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        rows = ["alpha,probability", "2,0.2", "4,0.5", "4,0.01", "6,0.3"]
-        path.write_text("\n".join(rows) + "\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            f"error: {path}, line 4, column alpha: 4 appears more than once\n",
-        )
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            (["0,0.2", "2"], "line 4, column probability: missing cell"),
-            (["0,0.2", "2,"], "line 4, column probability: empty cell"),
-            ([" ,0.2"], "line 3, column alpha: empty cell"),
-            (["2.0,0.2"], "line 3, column alpha: expected an integer, got '2.0'"),
-            (["2,x"], "line 3, column probability: expected a number, got 'x'"),
-            (["0,0.2", "3,0.1"], "line 4, column alpha: must be even and >= 0, got 3"),
-            (["2,0.2", "2,0.1"], "line 4, column alpha: 2 appears more than once"),
-            (["2,nan"], "line 3, column probability: must be finite and >= 0, got nan"),
-            (
-                [f"{10**309},0.2"],
-                "line 3, column alpha: too large for floating-point arithmetic",
-            ),
-            # The csv module refuses cells over its field size limit.
-            (["0," + "1" * 200_000], "line 3: field larger than field limit"),
-            (["0,0.2", "4,0.1,7"], "line 4: more cells than the header has columns"),
-            (["2,inf"], "line 3, column probability: must be finite and >= 0, got inf"),
-            (["2,-inf"], "line 3, column probability: must be finite and >= 0, got -inf"),
-            (
-                ["2,-0.25"],
-                "line 3, column probability: must be finite and >= 0, got -0.25",
-            ),
-            (["-2,0.2"], "line 3, column alpha: must be even and >= 0, got -2"),
-            # int() refuses more digits than the interpreter's limit.
-            (
-                ["2" * 5000 + ",0.2"],
-                "line 3, column alpha: too large for floating-point arithmetic\n",
-            ),
-        ],
-    )
-    def test_rejected_row_names_file_line_and_column(
-        self, tmp_path, rows, message
-    ):
-        # Line numbers count the comment line the reader skips.
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(["# exported", "alpha,probability", *rows]) + "\n")
-        result = run_cli("fit", "--pdf-file", str(path))
-        assert_usage_error(result, f"error: {path}, {message}")
-
-    @pytest.mark.parametrize(
-        "data, line",
-        [
-            (b"\xffalpha,probability\n0,0.2\n", 1),
-            # \r\n and a lone \r each end a line.
-            (b"alpha,probability\r\n0,0.2\r2,\xff\n", 3),
-        ],
-        ids=["header", "row"],
-    )
-    def test_non_utf8_file_names_file_and_line(self, tmp_path, data, line):
-        path = tmp_path / "latin.csv"
-        path.write_bytes(data)
-        result = run_cli("fit", "--pdf-file", str(path))
-        assert_usage_error(result, f"error: {path}, line {line}: not UTF-8 text (byte 0xff")
-
-    def test_subnormal_pdf_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("alpha,probability\n0,1e-320\n2,2e-320\n4,1e-320\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            "error: largest probability subnormal (peak = 2e-320): the pdf values "
-            "are too small for floating-point arithmetic\n",
-        )
-
-    def test_header_without_a_column_is_named(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("alpha,p\n0,0.2\n2,0.6\n4,0.2\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            f"error: {path}, line 1: the header has no probability column\n",
-        )
-
-    @pytest.mark.parametrize("column", ["alpha", "probability"])
-    def test_header_naming_a_column_twice_is_rejected(self, tmp_path, column):
-        # Read as a dict, the row would keep only the last such column.
-        path = tmp_path / "twice.csv"
-        path.write_text(f"alpha,probability,{column}\n0,0.2,10\n2,0.6,12\n4,0.2,14\n")
-        assert_usage_error(
-            run_cli("fit", "--pdf-file", str(path)),
-            f"error: {path}, line 1: the header names the {column} column more than once\n",
-        )
-
 
 class TestSweep:
     def test_flat_pdf_row_is_an_error_row(self):
@@ -381,19 +185,8 @@ class TestSweep:
         assert peaked["error"] == ""
         assert float(peaked["sigma"]) < 6
 
-    def test_missing_mode_arguments_rejected(self):
-        assert_usage_error(run_cli("sweep", "--mode", "fixed-at"), "--gc-values")
-        result = run_cli("sweep", "--mode", "fixed-ratio", "--ratio", "2:1")
-        assert_usage_error(result, "--n-values")
-        result = run_cli("sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80")
-        assert_usage_error(result, "GC:AT")
-
 
 class TestOracleCommand:
-    def test_out_of_range_rejected(self):
-        assert_usage_error(run_cli("oracle", "--n", "19"), "1 <= n <= 18, got 19")
-        assert_usage_error(run_cli("oracle", "--n", "0"), "1 <= n <= 18, got 0")
-
     def test_largest_length_accepted(self):
         n = MAX_ENUMERATION_BITS
         code, out, _ = run_cli("--quiet", "oracle", "--n", str(n))
@@ -402,6 +195,150 @@ class TestOracleCommand:
         assert total == sum(
             bracelet_count_direct(NecklaceSpec(k, n - k)) for k in range(n + 1)
         )
+
+
+def _params(rows):
+    """pytest parameters of table rows whose first item is the id."""
+    return [pytest.param(*row[1:], id=row[0]) for row in rows]
+
+
+# Command lines `cli.main` refuses, as (id, argv, a fragment of the one
+# `error:` line).
+_REFUSED_ARGV = [
+    ("count-odd-alpha", ["count", "--alpha", "3", "--at", "5", "--gc", "5"], "must be even"),
+    ("count-empty", ["count", "--alpha", "0", "--at", "0", "--gc", "0"], "empty necklace"),
+    ("mc-zero-runs", ["mc", "--at", "2", "--gc", "2", "--runs", "0"], "runs must be >= 1"),
+    ("fit-tiny-support", ["fit", "--at", "1", "--gc", "1"], "support too small"),
+    ("fit-no-input", ["fit"], "--pdf-file"),
+    # (5, 640) has 96.9 % of its mass on its last point, 10; the curve
+    # through its points peaks past it.
+    ("fit-centre-outside", ["fit", "--at", "5", "--gc", "640"],
+     "error: fitted centre 14.7469 lies outside the support [2, 10]: "
+     "the pdf has no peak to fit\n"),
+    ("sweep-no-gc-values", ["sweep", "--mode", "fixed-at"], "--gc-values"),
+    ("sweep-no-n-values", ["sweep", "--mode", "fixed-ratio", "--ratio", "2:1"], "--n-values"),
+    ("sweep-ratio-not-gc-at",
+     ["sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80"], "GC:AT"),
+    ("oracle-n-19", ["oracle", "--n", "19"], "1 <= n <= 18, got 19"),
+    ("oracle-n-0", ["oracle", "--n", "0"], "1 <= n <= 18, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", _params(_REFUSED_ARGV))
+def test_refused_command_line(argv, fragment):
+    assert_usage_error(run_cli(*argv), fragment)
+
+
+def _file(*lines):
+    """The UTF-8 bytes of `lines`, each ended by a newline."""
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+_HEADER = "alpha,probability"
+_ROWS = ("0,0.2", "2,0.6", "4,0.2")
+_MIXED = "error: fit takes either --pdf-file or both --at and --gc\n"
+
+# `fit --pdf-file` inputs `cli.main` refuses, as (id, file bytes, further
+# flags, a fragment of the one `error:` line, where {path} stands for the
+# file's path).  The reader's refusals come first, so that a reader
+# mutant of `mutants.py` fails its row before any fit loads numpy.
+_REFUSED_FILES = [
+    # A readable file, so that only the mix of inputs is at fault.
+    ("file-and-at-gc", _file(_HEADER, *_ROWS), ["--at", "10", "--gc", "10"], _MIXED),
+    ("file-and-gc", _file(_HEADER, *_ROWS), ["--gc", "10"], _MIXED),
+    ("header-without-probability", _file("alpha,p", *_ROWS), [],
+     "error: {path}, line 1: the header has no probability column\n"),
+    # Read as a dict, the row would keep only the last such column.
+    *((f"header-names-{column}-twice",
+       _file(f"{_HEADER},{column}", "0,0.2,10", "2,0.6,12", "4,0.2,14"), [],
+       f"error: {{path}}, line 1: the header names the {column} column more than once\n")
+      for column in ("alpha", "probability")),
+    ("non-utf8-header", b"\xffalpha,probability\n0,0.2\n", [],
+     "error: {path}, line 1: not UTF-8 text (byte 0xff"),
+    # \r\n and a lone \r each end a line.
+    ("non-utf8-row", b"alpha,probability\r\n0,0.2\r2,\xff\n", [],
+     "error: {path}, line 3: not UTF-8 text (byte 0xff"),
+    # The next three put the bad cell among good rows of a file with no
+    # comment line.
+    ("nan-among-rows", _file(_HEADER, "2,0.2", "4,nan", "6,0.5", "8,0.3"), [],
+     "error: {path}, line 3, column probability: must be finite and >= 0, got nan\n"),
+    ("odd-alpha-among-rows", _file(_HEADER, "2,0.2", "3,0.1", "6,0.5", "8,0.3"), [],
+     "error: {path}, line 3, column alpha: must be even and >= 0, got 3\n"),
+    ("repeated-alpha-among-rows", _file(_HEADER, "2,0.2", "4,0.5", "4,0.01", "6,0.3"), [],
+     "error: {path}, line 4, column alpha: 4 appears more than once\n"),
+    # Bad cells after a comment line, which the reader skips and line
+    # numbers count.
+    *((name, _file("# exported", _HEADER, *rows), [], f"error: {{path}}, {message}")
+      for name, rows, message in [
+        ("missing-cell", ["0,0.2", "2"], "line 4, column probability: missing cell"),
+        ("empty-cell", ["0,0.2", "2,"], "line 4, column probability: empty cell"),
+        ("blank-alpha", [" ,0.2"], "line 3, column alpha: empty cell"),
+        ("float-alpha", ["2.0,0.2"], "line 3, column alpha: expected an integer, got '2.0'"),
+        ("text-probability", ["2,x"],
+         "line 3, column probability: expected a number, got 'x'"),
+        ("odd-alpha", ["0,0.2", "3,0.1"], "line 4, column alpha: must be even and >= 0, got 3"),
+        ("repeated-alpha", ["2,0.2", "2,0.1"],
+         "line 4, column alpha: 2 appears more than once"),
+        ("nan", ["2,nan"], "line 3, column probability: must be finite and >= 0, got nan"),
+        ("alpha-past-float-range", [f"{10**309},0.2"],
+         "line 3, column alpha: too large for floating-point arithmetic"),
+        # The csv module refuses cells over its field size limit.
+        ("huge-cell", ["0," + "1" * 200_000], "line 3: field larger than field limit"),
+        ("extra-cell", ["0,0.2", "4,0.1,7"], "line 4: more cells than the header has columns"),
+        ("inf", ["2,inf"], "line 3, column probability: must be finite and >= 0, got inf"),
+        ("minus-inf", ["2,-inf"],
+         "line 3, column probability: must be finite and >= 0, got -inf"),
+        ("negative-probability", ["2,-0.25"],
+         "line 3, column probability: must be finite and >= 0, got -0.25"),
+        ("negative-alpha", ["-2,0.2"], "line 3, column alpha: must be even and >= 0, got -2"),
+        # int() refuses more digits than the interpreter's limit.
+        ("alpha-past-digit-limit", ["2" * 5000 + ",0.2"],
+         "line 3, column alpha: too large for floating-point arithmetic\n"),
+    ]),
+    # Files the reader accepts and the fit refuses.
+    ("non-converging", _file(_HEADER, "2,1", "4,0", "6,1", "8,0", "10,1e-300"), [],
+     "did not converge"),
+    # The search stops on MINPACK info 8, whose message (worded as scipy's)
+    # breaks its line before "the Jacobian".
+    ("line-broken-failure-text",
+     _file(_HEADER, "0,0.9", "4,0.9", "18,4.9406564584e-314", "22,1e-15", "36,1e-300"), [],
+     "func(x) is orthogonal to the columns of the Jacobian to machine precision.\n"),
+    # A file that rises to its last point: a Gaussian tail centred at 10.
+    ("centre-outside",
+     _file(_HEADER, *(f"{a},{math.exp(-((a - 10) ** 2) / 18)!r}" for a in (0, 2, 4, 6))), [],
+     "error: fitted centre 10 lies outside the support [0, 6]"),
+    ("subnormal", _file(_HEADER, "0,1e-320", "2,2e-320", "4,1e-320"), [],
+     "error: largest probability subnormal (peak = 2e-320): the pdf values "
+     "are too small for floating-point arithmetic\n"),
+]
+
+
+@pytest.mark.parametrize("data, flags, fragment", _params(_REFUSED_FILES))
+def test_refused_pdf_file(tmp_path, data, flags, fragment):
+    path = tmp_path / "pdf.csv"
+    path.write_bytes(data)
+    result = run_cli("fit", "--pdf-file", str(path), *flags)
+    assert_usage_error(result, fragment.format(path=path))
+
+
+# Files `fit` reads as their plain form: (id, plain bytes, variant bytes).
+_PLAIN_VARIANTS = [
+    ("byte-order-mark", _file("# exported", _HEADER, *_ROWS),
+     _file("\ufeff# exported", _HEADER, *_ROWS)),
+    ("blank-lines", _file(_HEADER, *_ROWS),
+     _file("# exported", "", _HEADER, "0,0.2", "", "2,0.6", "4,0.2", "")),
+]
+
+
+@pytest.mark.parametrize("plain, variant", _params(_PLAIN_VARIANTS))
+def test_pdf_file_read_as_plain(tmp_path, plain, variant):
+    outputs = []
+    for name, data in (("plain.csv", plain), ("variant.csv", variant)):
+        (tmp_path / name).write_bytes(data)
+        outputs.append(run_cli("--quiet", "fit", "--pdf-file", str(tmp_path / name)))
+    (_, expected, _), (code, out, err) = outputs
+    assert code == 0, err
+    assert out == expected
 
 
 # Runs `import dna_necklace` or, given arguments, `cli.main(["--quiet",

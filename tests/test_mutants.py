@@ -1,10 +1,10 @@
-"""The suite kills every kernel mutant in `mutants.py`.
+"""The suite kills every mutant in `mutants.py`.
 
 Each row runs on its own copy of the tree (``pyproject.toml``, ``src/``
 and ``tests/``), so the child pytest's ``pythonpath`` and the
 ``PYTHONPATH`` it is given both name the copy's ``src/``, never the
 checkout's.  A mutant's child must fail a test (exit 1, not a collection
-error); the control's child, unmutated, must pass the same modules.
+error); the control's child, unmutated, must pass the same tests.
 """
 
 import shutil

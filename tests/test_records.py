@@ -33,7 +33,7 @@ RECORDS = [
         "MCConfig(spec=NecklaceSpec(n_at=3, n_gc=5), runs=10, seed=1, sets=5)",
     ),
     (
-        DiscretePdf({0: 0.25, 2: 0.75}),
+        DiscretePdf({0: 0.25, 2: 0.75}, "theoretical"),
         "DiscretePdf(entries={0: 0.25, 2: 0.75}, provenance='theoretical')",
     ),
     (FIT, FIT_REPR),
@@ -122,10 +122,9 @@ def test_equal_specs_are_equal_and_hash_alike():
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert DiscretePdf({}).provenance == "theoretical"
     assert RatioSweepResult([]).slope is None
     # Every production caller passes every field of the other records.
-    for cls in (MCConfig, SweepRow, ConvergenceRow):
+    for cls in (MCConfig, DiscretePdf, SweepRow, ConvergenceRow):
         assert cls._field_defaults == {}, cls
     with pytest.raises(TypeError):
         MCConfig(SPEC, 10, 1)
