@@ -30,6 +30,7 @@ limit lowered to 640.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import comb, gcd
 from operator import add
 
@@ -67,23 +68,28 @@ def _not_divisible(fixed: int, order: int) -> IntegralityError:
     )
 
 
-def _totient(n: int) -> int:
-    """Euler's totient of n >= 1: the number of integers in [1, n] coprime to n.
+@lru_cache(maxsize=256)
+def _rotation_classes(g: int) -> tuple[tuple[int, int], ...]:
+    """(d, phi(d)) for each divisor d >= 2 of g, memoized, in no set order.
 
-    Computed as n * prod(1 - 1/p) over the prime factors p of n, found by
-    trial division in O(sqrt(n)) steps.  Callers pass rotation classes d >= 2.
+    One trial division of g, O(sqrt(g)) steps, finds each prime power p^i;
+    phi is multiplicative and phi(p^i) = p^(i-1) (p - 1).
     """
-    result = n
+    classes = [(1, 1)]
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
+    while g > 1:
+        if p * p > g:
+            p = g  # what is left of g is prime
+        if g % p == 0:
+            power, grown = 1, []
+            while g % p == 0:
+                g //= p
+                phi = power * (p - 1)
+                power *= p
+                grown += [(d * power, f * phi) for d, f in classes]
+            classes += grown
         p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+    return tuple(classes[1:])
 
 
 def _pascal_rows(count: int) -> tuple[tuple[int, ...], ...]:
@@ -177,8 +183,7 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
       only when d divides g = gcd(M, n_at, n_gc): C(n_at/d-1, M/d-1)
       choices of white totals times the same for black.  The identity
       (d = 1) always contributes; when g = 1, the usual case, it is the
-      only rotation that does.  Otherwise d walks 2..g, and each d with
-      g % d == 0 adds its term with one totient call;
+      only rotation that does.  `_rotation_classes(g)` lists the others;
     * for odd M each axis fixes one container of each color and pairs
       the rest, [x^r] f(x) f(x^2)^k = C((r-1)//2, k) with k = (M-1)/2;
     * for even M, with k = M/2, k of the M axes pass through two white
@@ -214,11 +219,8 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
     c = _PASCAL if n_at <= _PASCAL_ROWS and n_gc <= _PASCAL_ROWS else _COMB_ROWS
     fixed = c[n_at - 1][m - 1] * c[n_gc - 1][m - 1]
     if g > 1:
-        for d in range(2, g + 1):
-            if g % d == 0:
-                fixed += (
-                    _totient(d) * c[n_at // d - 1][m // d - 1] * c[n_gc // d - 1][m // d - 1]
-                )
+        for d, phi in _rotation_classes(g):
+            fixed += phi * c[n_at // d - 1][m // d - 1] * c[n_gc // d - 1][m // d - 1]
     if m & 1:
         fixed += m * c[(n_at - 1) >> 1][k] * c[(n_gc - 1) >> 1][k]
     elif not n_at & 1:
@@ -252,16 +254,14 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
     an independent derivation of the sum of `alternation_distribution`'s
     counts.  Kept as a cross-check oracle.
     """
-    n = spec.total
-    n_at = spec.n_at
-    # Rotations with cycle length d (and n/d cycles) number totient(d);
-    # fixed arrangements need every cycle monochrome, so d must divide
-    # g = gcd(n, n_at).  The identity (d = 1) always does.
+    n, n_at = spec.total, spec.n_at
+    # The phi(d) rotations with cycle length d (and n/d cycles) fix an
+    # arrangement only if every cycle is monochrome, so d must divide
+    # g = gcd(n, n_at): the identity (d = 1), and `_rotation_classes(g)`.
     fixed = comb(n, n_at)
     g = gcd(n, n_at)
-    for d in range(2, g + 1):
-        if g % d == 0:
-            fixed += _totient(d) * comb(n // d, n_at // d)
+    for d, phi in _rotation_classes(g):
+        fixed += phi * comb(n // d, n_at // d)
     # Each axis pairs the positions off it.  For odd n it passes through
     # one bead, whose color the parity of n_at forces.  For even n, half
     # the axes pass through two beads and half through none; for even n_at

@@ -29,8 +29,8 @@ MUTANTS = [
     Mutant(
         "totient-plus-one",
         COUNTING,
-        "_totient(d) * c[",
-        "(_totient(d) + 1) * c[",
+        "phi * c[",
+        "(phi + 1) * c[",
         ACCEPTANCE,
     ),
     Mutant(
@@ -74,8 +74,15 @@ MUTANTS = [
     Mutant(
         "last-rotation-divisor-skipped",
         COUNTING,
-        "        for d in range(2, g + 1):",
-        "        for d in range(2, g):",
+        "        for d, phi in _rotation_classes(g):",
+        "        for d, phi in _rotation_classes(g)[:-1]:",
+        ACCEPTANCE,
+    ),
+    Mutant(
+        "totient-of-prime-power-times-p",
+        COUNTING,
+        "phi = power * (p - 1)",
+        "phi = power * p",
         ACCEPTANCE,
     ),
     Mutant(

@@ -8,7 +8,7 @@ from dna_necklace import cli, counting
 from dna_necklace.counting import (
     IntegralityError,
     NecklaceSpec,
-    _totient,
+    _rotation_classes,
     alternation_distribution,
     bracelet_count_direct,
     count_necklaces,
@@ -56,7 +56,7 @@ def raise_from_cli_count(monkeypatch):
         ),
         # phi(2) read as 2 leaves 25 fixed points over 2M = 4.
         (
-            lambda mp: mp.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1),
+            lambda mp: mp.setattr(counting, "_rotation_classes", lambda g: ((2, 2),)),
             ["count", "--alpha", "4", "--at", "4", "--gc", "6"],
         ),
         # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
@@ -198,7 +198,7 @@ class TestClosedFormKernel:
     def test_non_divisible_rotation_sum_raises(self, monkeypatch):
         # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
         # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
-        monkeypatch.setattr(counting, "_totient", lambda d: 2 if d == 2 else 1)
+        monkeypatch.setattr(counting, "_rotation_classes", lambda g: ((2, 2),))
         with pytest.raises(IntegralityError, match="not divisible"):
             count_necklaces(NecklaceSpec(4, 6), 4)
 
@@ -206,8 +206,12 @@ class TestClosedFormKernel:
         # gcd(6, 6, 12) = 6: the third-turns fix C(1, 1) * C(3, 1) = 3
         # assignments, so phi(3) read one higher leaves 603 fixed points
         # over 2M = 12; the d = 2 and d = 6 terms are read correctly.
-        real = counting._totient
-        monkeypatch.setattr(counting, "_totient", lambda d: real(d) + (d == 3))
+        real = counting._rotation_classes
+        monkeypatch.setattr(
+            counting,
+            "_rotation_classes",
+            lambda g: tuple((d, phi + (d == 3)) for d, phi in real(g)),
+        )
         with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
             count_necklaces(NecklaceSpec(6, 12), 12)
 
@@ -338,25 +342,39 @@ class TestTotals:
             assert total_count(spec) == bracelet_count_direct(spec), spec
 
 
+def _phi(n):
+    """phi(n) as `_rotation_classes(n)` lists it: the class d = n, or 1 at n = 1."""
+    return dict(_rotation_classes(n)).get(n, 1)
+
+
 class TestTotient:
-    """The kernel's private `_totient` against the reference route's phi,
-    which counts coprime j from the definition and so shares no arithmetic
-    with `_totient`'s trial division."""
+    """phi as the kernel's private `_rotation_classes` lists it, against the
+    reference route's divisor list and phi, which counts coprime j from the
+    definition and so shares no arithmetic with the helper's factorization."""
 
     def test_known_values(self):
-        assert _totient(1) == 1
-        assert _totient(5) == 4
-        assert _totient(12) == 4
+        assert _rotation_classes(1) == ()
+        assert _phi(5) == 4
+        assert _phi(12) == 4
 
     def test_multiplicative_on_coprime_pairs(self):
         for m in range(1, 101):
             for n in range(1, 101):
                 if math.gcd(m, n) == 1:
-                    assert _totient(m * n) == _totient(m) * _totient(n)
+                    assert _phi(m * n) == _phi(m) * _phi(n)
 
     def test_divisor_sum_identity(self):
-        for n in range(1, 501):
-            assert sum(_totient(d) for d in divisors(n)) == n
+        # Exhaustively to 500, then past the exhaustive range: the semiprime
+        # 10 001 = 73 * 137, the primes 10 007 and 65 537, 12 288 = 2^12 * 3,
+        # the primorial 30 030 = 2 * 3 * 5 * 7 * 11 * 13, 720 720 with 240
+        # divisors, 2^40, 10^12 = 2^12 * 5^12 and the prime 999 999 999 989.
+        large = [10_001, 10_007, 12_288, 30_030, 65_537, 720_720, 2**40, 10**12]
+        for g in list(range(1, 501)) + large + [999_999_999_989]:
+            classes = _rotation_classes(g)
+            ds = [d for d, _ in classes]
+            assert all(d >= 2 and g % d == 0 for d in ds), g
+            assert len(set(ds)) == len(ds), g
+            assert 1 + sum(phi for _, phi in classes) == g, g
 
     def test_reference_satisfies_divisor_sum_identity(self):
         # Gauss's identity checks the reference phi without the kernel's.
@@ -364,12 +382,12 @@ class TestTotient:
             assert sum(totient_by_definition(d) for d in divisors(n)) == n
 
     def test_matches_gcd_count_definition(self):
-        for n in range(1, 2001):
-            assert _totient(n) == totient_by_definition(n), n
+        # Every divisor d >= 2 of every g <= 2 000, each with its phi.
+        phi = [0] + [totient_by_definition(d) for d in range(1, 2001)]
+        for g in range(1, 2001):
+            expected = [(d, phi[d]) for d in divisors(g)[1:]]
+            assert sorted(_rotation_classes(g)) == expected, g
 
     def test_large_values_match_definition(self):
-        # Past the exhaustive range: the primes 10 007 and 65 537, the
-        # semiprime 10 001 = 73 * 137, 12 288 = 2^12 * 3 and the primorial
-        # 30 030 = 2 * 3 * 5 * 7 * 11 * 13.
         for n in (10_001, 10_007, 12_288, 30_030, 65_537):
-            assert _totient(n) == totient_by_definition(n)
+            assert _phi(n) == totient_by_definition(n)

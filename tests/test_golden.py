@@ -5,11 +5,12 @@ return; `<name>.out` holds the exact stdout it must write.  The corpus
 covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
 rejected invocations, one count past the interpreter's 4 300-digit
-`str(int)` limit, and the help text of the program and of each
-subcommand.  The cases run in process through `cli.main`, with
-``COLUMNS=80`` so that argparse wraps help and usage lines the same on
-any terminal; a rejected one must also meet the one-line `error:`
-contract, and every other one must write nothing to stderr.
+`str(int)` limit, one count whose gcd(M, n_at, n_gc) is 10^12, and the
+help text of the program and of each subcommand.  The cases run in
+process through `cli.main`, with ``COLUMNS=80`` so that argparse wraps
+help and usage lines the same on any terminal; a rejected one must also
+meet the one-line `error:` contract, and every other one must write
+nothing to stderr.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:
