@@ -30,9 +30,7 @@ interpreter teardown (``atexit`` handlers do not run).
 from __future__ import annotations
 
 import io
-import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -45,13 +43,7 @@ from .counting import (
 )
 from .montecarlo import PRNG_NAME, MCConfig, _run_set, total_abs_diff
 from .oracle import MAX_ENUMERATION_BITS, enumerate_all
-from .stats import (
-    DiscretePdf,
-    fit_gaussian,
-    sweep_fixed_at,
-    sweep_fixed_ratio,
-    theoretical_pdf,
-)
+from .stats import fit_gaussian, sweep_fixed_at, sweep_fixed_ratio, theoretical_pdf
 
 USAGE_ERROR = 2
 INTEGRALITY_ERROR = 3
@@ -166,114 +158,8 @@ def cmd_mc(args) -> str:
     return _render(args, rows)
 
 
-def _read_pdf_file(path: str) -> DiscretePdf:
-    """Load a pdf from CSV having alpha and probability columns.
-
-    The file must be UTF-8; comment (``#``) and blank lines are skipped,
-    and the first other line is the header, which must name each of the
-    two columns once; no row may have more cells than the header.
-    Alternation counts must be even, >= 0, within float range and listed
-    once, probabilities finite and >= 0; anything else is rejected rather
-    than silently dropped or overwritten.  A rejection names the file and
-    the line, and the column when one cell is at fault.
-    """
-    import csv
-
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports put first.
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = len(re.split(rb"\r\n?|\n", data[: exc.start]))
-        raise ValueError(
-            f"{path}, line {line}: not UTF-8 text "
-            f"(byte 0x{data[exc.start]:02x}: {exc.reason})"
-        ) from None
-    # newline=None reads \r\n and \r line ends as \n, as text files do.
-    numbered = [
-        (number, line)
-        for number, line in enumerate(io.StringIO(text, newline=None), 1)
-        if not line.startswith("#")
-    ]
-    reader = csv.reader(line for _, line in numbered)
-    header: list[str] | None = None  # the first row that is not blank
-    entries: dict[int, float] = {}
-    try:
-        for cells in reader:
-            where = f"{path}, line {numbered[reader.line_num - 1][0]}"
-            if not cells:  # a blank line
-                continue
-            if header is None:
-                header = cells
-                for column in ("alpha", "probability"):
-                    if column not in header:
-                        raise ValueError(f"{where}: the header has no {column} column")
-                    if header.count(column) > 1:
-                        raise ValueError(
-                            f"{where}: the header names the {column} column "
-                            "more than once"
-                        )
-                continue
-            if len(cells) > len(header):
-                raise ValueError(f"{where}: more cells than the header has columns")
-            record = dict(zip(header, cells))
-            alpha = _cell(record, "alpha", int, "an integer", where)
-            probability = _cell(record, "probability", float, "a number", where)
-            if alpha < 0 or alpha % 2 != 0:
-                raise ValueError(
-                    f"{where}, column alpha: must be even and >= 0, got {alpha}"
-                )
-            if alpha > sys.float_info.max:
-                raise ValueError(f"{where}, column alpha: {_TOO_LARGE}")
-            if alpha in entries:
-                raise ValueError(
-                    f"{where}, column alpha: {alpha} appears more than once"
-                )
-            if not math.isfinite(probability) or probability < 0:
-                raise ValueError(
-                    f"{where}, column probability: must be finite and >= 0, "
-                    f"got {record['probability']}"
-                )
-            entries[alpha] = probability
-    except csv.Error as exc:  # e.g. a cell over the csv module's size limit
-        line = numbered[reader.line_num - 1][0]  # counts the row that failed
-        raise ValueError(f"{path}, line {line}: {exc}") from exc
-    if not entries:
-        raise ValueError(f"{path}: no pdf rows found")
-    return DiscretePdf(entries, "file")
-
-
-_TOO_LARGE = "too large for floating-point arithmetic"
-
-
-def _cell(record: dict, column: str, parse, kind: str, where: str) -> int | float:
-    """One parsed cell of a --pdf-file row, or a ValueError naming it."""
-    text = record.get(column)
-    if text is None:
-        raise ValueError(f"{where}, column {column}: missing cell")
-    if not text.strip():
-        raise ValueError(f"{where}, column {column}: empty cell")
-    try:
-        return parse(text)
-    except ValueError:
-        if parse is int and re.fullmatch(r"\s*[+-]?\d+\s*", text):
-            # Only the interpreter's digit limit refuses a decimal integer,
-            # and one that long is far past float range.
-            raise ValueError(f"{where}, column {column}: {_TOO_LARGE}") from None
-        raise ValueError(
-            f"{where}, column {column}: expected {kind}, got {text!r}"
-        ) from None
-
-
 def cmd_fit(args) -> str:
-    if args.pdf_file is not None and args.at is None and args.gc is None:
-        pdf = _read_pdf_file(args.pdf_file)
-    elif args.pdf_file is None and args.at is not None and args.gc is not None:
-        pdf = theoretical_pdf(_spec(args))
-    else:
-        raise ValueError("fit takes either --pdf-file or both --at and --gc")
-    return _render(args, [fit_gaussian(pdf)._asdict()])
+    return _render(args, [fit_gaussian(theoretical_pdf(_spec(args)))._asdict()])
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -381,15 +267,7 @@ _COMMANDS = {
     ),
     "fit": (
         "Gaussian fit of a pdf",
-        {
-            "--at": {"type": int, "help": "number of AT beads of the pdf to compute and fit"},
-            "--gc": {"type": int, "help": "number of GC beads of the pdf to compute and fit"},
-            "--pdf-file": {
-                "help": "fit a pdf from a CSV with alpha,probability columns "
-                "(e.g. the output of the pdf command) instead of computing one"
-            },
-            **_TABLE_FLAGS,
-        },
+        {**_BEADS, **_TABLE_FLAGS},
         {"func": cmd_fit},
     ),
     "sweep": (

@@ -14,11 +14,10 @@ _SIGMA_FLOOR = 1e-6
 class DiscretePdf(namedtuple("DiscretePdf", "entries provenance")):
     """Probability distribution over even alternation counts.
 
-    `provenance` is "theoretical" (exact counts normalized), "empirical"
-    (Monte Carlo frequencies) or "file" (read by `fit --pdf-file`).
-    Theoretical pdfs carry the full support {0, 2, ..., 2*min(n_at, n_gc)}
-    including zero-probability entries; empirical ones carry only observed
-    values.
+    `provenance` is "theoretical" (exact counts normalized) or "empirical"
+    (Monte Carlo frequencies).  Theoretical pdfs carry the full support
+    {0, 2, ..., 2*min(n_at, n_gc)} including zero-probability entries;
+    empirical ones carry only observed values.
     """
 
     __slots__ = ()

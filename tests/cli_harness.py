@@ -1,5 +1,5 @@
 """The CLI runners and the exit-2 check the test modules share: exit code
-2, nothing on stdout and one stderr line, ``error: ...``.  `run_python` is
+2, nothing on stdout and one ``error:`` line on stderr.  `run_python` is
 the one way a test starts a process."""
 
 import contextlib
@@ -43,13 +43,20 @@ def run_module(*argv, **kwargs):
 
 
 def assert_usage_error(result, fragment):
-    """`result` (a `run_cli` triple or a `run_python` process) took the
-    exit-2 path of `cli.main`, with `fragment` in its one stderr line.
-    A child whose stdout was not captured counts as writing nothing."""
+    """`result` (a `run_cli` triple or a `run_python` process) took an
+    exit-2 path, with nothing on stdout and `fragment` on stderr: one
+    ``error: ...`` line of `cli.main`'s, or argparse's usage lines ended
+    by its one ``prog: error: ...`` line.  A child whose stdout was not
+    captured counts as writing nothing."""
     if isinstance(result, subprocess.CompletedProcess):
         result = result.returncode, result.stdout or "", result.stderr
     code, out, err = result
     assert (code, out) == (2, ""), result
-    assert err.startswith("error: ") and err.endswith("\n"), err
-    assert len(err.splitlines()) == 1, err
+    assert err.endswith("\n"), err
+    *usage, line = err.splitlines()
+    if usage:  # argparse's refusal: its usage lines, then its error line
+        assert err.startswith("usage: ") and ": error: " in line, err
+        assert not any("error:" in text for text in usage), err
+    else:
+        assert line.startswith("error: "), err
     assert fragment in err, err

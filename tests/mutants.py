@@ -1,5 +1,4 @@
-"""Faults the suite must catch, one row each: in the counting kernel and
-in the `fit --pdf-file` reader.
+"""Faults in the counting kernel the suite must catch, one row each.
 
 A row names a file of the tree, a text in it, the text that replaces it
 and the tests that must fail once it is replaced: modules, or one test's
@@ -7,8 +6,8 @@ node id.  The old text must occur exactly once in its file, so a refactor
 that moves or rewrites it fails the gate loudly instead of dropping the
 mutant: rewrite the row against the new code.  Each row names the fewest
 tests that kill it, since every row costs one pytest start.
-`tests/test_mutants.py` runs the table; a new kernel or reader check adds
-its mutants here.
+`tests/test_mutants.py` runs the table; a new kernel check adds its
+mutants here.
 """
 
 from collections import namedtuple
@@ -16,14 +15,10 @@ from collections import namedtuple
 Mutant = namedtuple("Mutant", "name path old new modules")
 
 COUNTING = "src/dna_necklace/counting.py"
-CLI = "src/dna_necklace/cli.py"
 # Criteria 1 and 2 (the worked example and the oracle comparison) kill
 # every kernel row below in about half a second; test_counting.py alone
 # runs four times as long.
 ACCEPTANCE = ("tests/test_acceptance.py",)
-# The table of refused --pdf-file inputs, which kills each reader row in
-# about a second of pytest.
-REFUSED_FILES = ("tests/test_cli.py::test_refused_pdf_file",)
 
 MUTANTS = [
     Mutant(
@@ -84,20 +79,6 @@ MUTANTS = [
         "phi = power * (p - 1)",
         "phi = power * p",
         ACCEPTANCE,
-    ),
-    Mutant(
-        "pdf-file-repeated-alpha-kept",
-        CLI,
-        "if alpha in entries:",
-        "if False:",
-        REFUSED_FILES,
-    ),
-    Mutant(
-        "pdf-file-odd-alpha-kept",
-        CLI,
-        "alpha < 0 or alpha % 2 != 0",
-        "alpha < 0",
-        REFUSED_FILES,
     ),
 ]
 

@@ -1,7 +1,8 @@
 """Byte-for-byte replay of the golden CLI corpus in tests/golden/.
 
 `cases.json` maps each case name to an argv and the exit code it must
-return; `<name>.out` holds the exact stdout it must write.  The corpus
+return, and a rejected case also to the last line it must write to
+stderr; `<name>.out` holds the exact stdout it must write.  The corpus
 covers every subcommand, with `--format csv|json` where the subcommand
 has it, each with and without `--quiet`, on small pinned inputs, plus
 rejected invocations, one count past the interpreter's 4 300-digit
@@ -9,8 +10,9 @@ rejected invocations, one count past the interpreter's 4 300-digit
 help text of the program and of each subcommand.  The cases run in
 process through `cli.main`, with ``COLUMNS=80`` so that argparse wraps
 help and usage lines the same on any terminal; a rejected one must also
-meet the one-line `error:` contract, and every other one must write
-nothing to stderr.
+meet the exit-2 contract, one `error:` line of the program's or after
+argparse's usage lines, and every other one must write nothing to
+stderr.
 
 Exact counts, pdfs, oracle tables and seeded Monte Carlo sets hold on
 any machine.  The `fit` and `sweep` bytes hold on one CPU class only:
@@ -39,15 +41,18 @@ def test_cli_output_matches_golden(name, monkeypatch):
     assert (code, out) == (case["exit"], expected)
     if code == 2:
         assert_usage_error(result, "")
+        assert err.splitlines()[-1] == case["error"]
     else:
         assert err == "", err
 
 
 def test_plain_lines_take_the_fast_path():
-    # Every case but help is a line argparse accepts; of those, only
-    # `--seed -1` is left to it, which reads the negative number.
+    # Help, a missing required flag and an unknown one are argparse's to
+    # report; of the lines it accepts, only `--seed -1` is left to it,
+    # which reads the negative number.
     fallbacks = {
         name for name, case in CASES.items() if cli._fast_parse(case["argv"]) is None
     }
     helps = {name for name, case in CASES.items() if "--help" in case["argv"]}
-    assert fallbacks == helps | {"mc-bad-seed"}
+    refused = {"fit-at-without-gc", "fit-pdf-file-and-content"}
+    assert fallbacks == helps | refused | {"mc-bad-seed"}

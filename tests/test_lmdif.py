@@ -81,7 +81,7 @@ class TestBitIdentity:
         assert_same_fits(spec_pdfs([(3, 90), (3, 98), (5, 748), (4, 99)]))
 
     def test_failures_carry_the_same_message(self):
-        spiky = DiscretePdf({2: 1.0, 6: 1.0, 10: 1e-300}, "file")
+        spiky = DiscretePdf({2: 1.0, 6: 1.0, 10: 1e-300}, "theoretical")
         flat = theoretical_pdf(NecklaceSpec(3, 3))
         assert_same_fits([("spiky", spiky), ("flat", flat)])
         assert _outcome(spiky)[0] == "ValueError"

@@ -103,12 +103,39 @@ class TestFitGaussian:
     @pytest.mark.parametrize("scale", [1e-320, 1e-310])
     def test_rejects_subnormal_pdf(self, scale):
         # At 1e-320 lmdif returned the start moments (sigma = sqrt 2) as a fit.
-        pdf = DiscretePdf({0: scale, 2: 2 * scale, 4: scale}, "file")
+        pdf = DiscretePdf({0: scale, 2: 2 * scale, 4: scale}, "theoretical")
         with pytest.raises(ValueError, match="subnormal .* too small for floating"):
             fit_gaussian(pdf)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param(dict.fromkeys((0, 2, 4), 1e308), "start moments not finite",
+                         id="start-moments-overflow"),
+            pytest.param({0: 1e200, 2: 3e200, 4: 1e200}, "fit residual not finite",
+                         id="residual-overflow"),
+            pytest.param({2: 1, 4: 0, 6: 1, 8: 0, 10: 1e-300},
+                         "did not converge: Optimal parameters not found: Number of "
+                         "calls to function has reached maxfev = 20000.",
+                         id="evaluation-limit"),
+            # MINPACK info 8, whose message (worded as scipy's) breaks its
+            # line before "the Jacobian".
+            pytest.param({0: 0.9, 4: 0.9, 18: 4.9406564584e-314, 22: 1e-15, 36: 1e-300},
+                         "func(x) is orthogonal to the columns of\n  the Jacobian",
+                         id="orthogonal-residual"),
+        ],
+    )
+    def test_refusals(self, entries, message):
+        # Overflow, too, is a ValueError: numpy's warnings about it would
+        # be a second stderr line, so here they are errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                fit_gaussian(DiscretePdf(entries, "theoretical"))
+        assert message in str(refusal.value)
+
     def test_smallest_normal_peak_still_fits(self):
-        fit = fit_gaussian(DiscretePdf({0: 1e-307, 2: 2e-307, 4: 1e-307}, "file"))
+        fit = fit_gaussian(DiscretePdf({0: 1e-307, 2: 2e-307, 4: 1e-307}, "theoretical"))
         assert abs(fit.sigma - 1.69864360057603) < 1e-12
 
     def test_exact_three_point_fit_is_silent(self):
