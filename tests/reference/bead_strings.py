@@ -6,17 +6,12 @@ over all 2N rotated/reflected images, by slicing strings, and the
 alternations are counted bead by bead.  `dna_necklace.oracle` does the
 same on integers with shifts and masks; the tests check that its bucket
 table equals the one these helpers give for every string.  This module
-imports nothing from the package.
+imports nothing from the package, and like `cycle_index` it does not
+validate inputs the comparisons never pass (an empty string, a character
+other than 0 or 1).
 """
 
 from __future__ import annotations
-
-
-def _check_bits(s: str) -> None:
-    if not s:
-        raise ValueError("bead string must be non-empty")
-    if set(s) - {"0", "1"}:
-        raise ValueError(f"bead string must contain only 0/1, got {s!r}")
 
 
 def count_alternations(s: str) -> int:
@@ -25,14 +20,12 @@ def count_alternations(s: str) -> int:
     The string is circular: the last bead neighbors the first.  The result
     is always even, and a single bead has no alternations.
     """
-    _check_bits(s)
     n = len(s)
     return sum(1 for i in range(n) if s[i] != s[(i + 1) % n])
 
 
 def canonical_form(s: str) -> str:
     """Lexicographically smallest of the 2N rotations of s and reversed s."""
-    _check_bits(s)
     n = len(s)
     doubled = s + s
     rev = s[::-1]

@@ -19,8 +19,8 @@ with integers only.  This module is the independent reference the tests
 check it against, so it shares no arithmetic with it (even Euler's phi is
 its own, from the definition), and it is only as general as those
 comparisons need: it does not validate inputs that they never pass
-(M or n below 1, negative bead counts, indices or powers, strides
-below 1).
+(M or n below 1, negative bead counts or indices, powers or strides
+below 1, a monomial with no factor).
 """
 
 from __future__ import annotations
@@ -87,27 +87,25 @@ def dihedral_bipartite_index(m: int) -> tuple[CycleTerm, ...]:
 
 
 def weight_coeff(r: int, factor: tuple[int, int]) -> int:
-    """Coefficient of x^r in f(x^stride)^power; power 0 is the constant 1."""
+    """Coefficient of x^r in f(x^stride)^power."""
     stride, power = factor
-    if power == 0:
-        return 1 if r == 0 else 0
     if r % stride != 0 or r < stride * power:
         return 0
     return math.comb(r // stride - 1, power - 1)
 
 
 def product_weight_coeff(r: int, factors: Monomial) -> int:
-    """Coefficient of x^r in the product of at most two factors.
+    """Coefficient of x^r in the product of one or two factors.
 
     A dihedral monomial has one cycle length (a rotation) or the lengths 1
     and 2 (a reflection), so one factor is a closed form and two are one
     convolution of closed forms.  A third factor raises ValueError rather
-    than being folded in.  The empty product is the constant series 1.
+    than being folded in.
     """
     if len(factors) > 2:
         raise ValueError(f"at most two series factors, got {len(factors)}")
-    if len(factors) < 2:
-        return weight_coeff(r, factors[0] if factors else (1, 0))
+    if len(factors) == 1:
+        return weight_coeff(r, factors[0])
     first, second = factors
     return sum(
         weight_coeff(k, first) * weight_coeff(r - k, second) for k in range(r + 1)

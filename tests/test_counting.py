@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -18,11 +19,6 @@ from reference.cycle_index import totient as totient_by_definition
 from cli_harness import run_cli
 
 
-def total_count(spec):
-    """Total distinct necklaces with the given content, summed over alpha."""
-    return sum(alternation_distribution(spec).values())
-
-
 def rig_comb(monkeypatch, n, k):
     """Make the counting kernels read C(n, k) one higher than it is."""
     real = counting.comb
@@ -36,6 +32,14 @@ def rig_pascal(monkeypatch, n, k):
     monkeypatch.setattr(counting, "_PASCAL", tuple(rows))
 
 
+def rig_totient(monkeypatch, d):
+    """Make the counting kernels read phi(d) one higher than it is."""
+    real = counting._rotation_classes
+    monkeypatch.setattr(
+        counting, "_rotation_classes", lambda g: tuple((e, f + (e == d)) for e, f in real(g))
+    )
+
+
 def raise_from_cli_count(monkeypatch):
     def boom(spec, alpha):
         raise IntegralityError("rigged")
@@ -43,45 +47,73 @@ def raise_from_cli_count(monkeypatch):
     monkeypatch.setattr(cli, "count_necklaces", boom)
 
 
+# Faults planted in the kernel, each with the command line that reaches it
+# and the end of the one stderr line it must give: (id, rig, argv, message
+# end).  A new planted fault is one row here.
+_PLANTED = [
+    # C(7, 4) one higher adds C(5, 4) = 5 fixed points to the identity
+    # rotation's C(7, 4) * C(5, 4) over 2M = 10; gcd(5, 8, 6) = 1, so no
+    # other rotation contributes.
+    ("identity-table", lambda mp: rig_pascal(mp, 7, 4),
+     ["count", "--alpha", "10", "--at", "8", "--gc", "6"],
+     "Burnside total 195 not divisible by group order 10"),
+    # The same fault past the table, where the kernel calls math.comb:
+    # C(128, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
+    ("identity-comb-past-table", lambda mp: rig_comb(mp, 128, 4),
+     ["count", "--alpha", "10", "--at", "129", "--gc", "6"],
+     "Burnside total 53350085 not divisible by group order 10"),
+    # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
+    # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
+    ("totient-at-two", lambda mp: rig_totient(mp, 2),
+     ["count", "--alpha", "4", "--at", "4", "--gc", "6"],
+     "Burnside total 25 not divisible by group order 4"),
+    # gcd(6, 6, 12) = 6: the third-turns fix C(1, 1) * C(3, 1) = 3
+    # assignments, so phi(3) read one higher leaves 603 fixed points over
+    # 2M = 12; the d = 2 and d = 6 terms are read correctly.
+    ("totient-at-three", lambda mp: rig_totient(mp, 3),
+     ["count", "--alpha", "12", "--at", "6", "--gc", "12"],
+     "Burnside total 603 not divisible by group order 12"),
+    # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
+    # total does too; reading C(7499, 3749) one higher adds an odd
+    # number of fixed points over 2M = 7500.
+    ("past-digit-limit", lambda mp: rig_comb(mp, 7499, 3749),
+     ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"],
+     " not divisible by group order 7500"),
+    ("cli-count-raises", raise_from_cli_count,
+     ["count", "--alpha", "2", "--at", "1", "--gc", "1"],
+     "integrality failure: rigged"),
+]
+
+
 @pytest.mark.parametrize(
-    "rig, argv",
-    [
-        # C(7, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
-        (lambda mp: rig_pascal(mp, 7, 4), ["count", "--alpha", "10", "--at", "8", "--gc", "6"]),
-        # The same fault past the table, where the kernel calls math.comb:
-        # C(128, 4) one higher adds C(5, 4) = 5 fixed points over 2M = 10.
-        (
-            lambda mp: rig_comb(mp, 128, 4),
-            ["count", "--alpha", "10", "--at", "129", "--gc", "6"],
-        ),
-        # phi(2) read as 2 leaves 25 fixed points over 2M = 4.
-        (
-            lambda mp: mp.setattr(counting, "_rotation_classes", lambda g: ((2, 2),)),
-            ["count", "--alpha", "4", "--at", "4", "--gc", "6"],
-        ),
-        # The identity term C(7499, 3749)^2 has over 4 300 digits, so the
-        # total does too; reading C(7499, 3749) one higher adds an odd
-        # number of fixed points over 2M = 7500.
-        (
-            lambda mp: rig_comb(mp, 7499, 3749),
-            ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"],
-        ),
-        (raise_from_cli_count, ["count", "--alpha", "2", "--at", "1", "--gc", "1"]),
-    ],
-    ids=[
-        "identity-comb",
-        "identity-comb-past-table",
-        "totient-at-two",
-        "past-digit-limit",
-        "cli-count-raises",
-    ],
+    "rig, argv, message_end", [row[1:] for row in _PLANTED], ids=[row[0] for row in _PLANTED]
 )
-def test_integrality_failure_exits_three(monkeypatch, rig, argv):
+def test_integrality_failure_exits_three(monkeypatch, rig, argv, message_end):
     rig(monkeypatch)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, ""), err
     assert err.startswith("integrality failure: ") and len(err.splitlines()) == 1, err
+    assert err.endswith(f"{message_end}\n"), err
     assert "Traceback" not in err and "Exceeds the limit" not in err
+
+
+# Counts known by hand: ((n_at, n_gc), alpha, count).  A new known count is
+# one row here.
+KNOWN = [
+    ((8, 6), 10, 19),  # the paper's worked example
+    ((2, 1), 2, 1),  # one block of each color
+    ((1, 1), 0, 0), ((1, 1), 2, 1),
+    ((2, 2), 0, 0), ((2, 2), 2, 1), ((2, 2), 4, 1),
+    ((3, 4), 0, 0),  # both colors present: no necklace without alternations
+    ((0, 4), 0, 1), ((0, 7), 0, 1), ((5, 0), 0, 1),  # the homogeneous necklace
+]
+
+
+def test_known_counts():
+    for content, alpha, count in KNOWN:
+        spec = NecklaceSpec(*content)
+        assert count_necklaces(spec, alpha) == count, (content, alpha)
+        assert alternation_distribution(spec)[alpha] == count, (content, alpha)
 
 
 def every_query(contents):
@@ -98,6 +130,12 @@ KERNEL_QUERIES = {
     "rotation-contents": every_query(
         [(4, 6), (6, 12), (12, 18), (24, 24), (36, 24), (30, 45)]
     ),
+    # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24 divisors,
+    # each of whose rotations fixes some assignments.  The last four take
+    # the even-M reflection term through each parity class of (n_at,
+    # n_gc): even/even, odd/even, even/odd, odd/odd.
+    "divisor-walk": [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)]
+    + [(24, 100, 90), (24, 101, 90), (24, 100, 91), (24, 101, 91)],
 }
 
 
@@ -110,17 +148,7 @@ def container_queries(draw, max_total=200):
     return m, n_at, n_gc
 
 
-class TestNecklaceSpec:
-    def test_derived_quantities(self):
-        spec = NecklaceSpec(8, 6)
-        assert spec.total == 14
-        assert spec.max_alternations == 12
-
-
 class TestNecklaceCount:
-    def test_single_block_of_each_color(self):
-        assert count_necklaces(NecklaceSpec(2, 1), 2) == 1
-
     def test_color_symmetry(self):
         for a, b in [(8, 6), (9, 4), (12, 7), (5, 5), (6, 9), (12, 5)]:
             assert alternation_distribution(NecklaceSpec(a, b)) == (
@@ -156,65 +184,6 @@ class TestClosedFormKernel:
                 dihedral_bipartite_index(m), n_at, n_gc
             ), (m, n_at, n_gc)
 
-    @pytest.mark.parametrize(
-        "m, n_at, n_gc",
-        [
-            (60, 120, 240),
-            (72, 144, 216),
-            (120, 240, 360),
-            (360, 720, 720),
-            (24, 100, 90),
-            (24, 101, 90),
-            (24, 100, 91),
-            (24, 101, 91),
-        ],
-    )
-    def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
-        # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24
-        # divisors, each of whose rotations fixes some assignments.  The
-        # last four take the even-M reflection term through each parity
-        # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
-        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
-            dihedral_bipartite_index(m), n_at, n_gc
-        )
-
-    def test_long_chain_totals_match_bead_burnside(self):
-        for spec in [
-            NecklaceSpec(500, 500),
-            NecklaceSpec(700, 1400),
-            NecklaceSpec(1201, 1200),
-            NecklaceSpec(429, 2571),
-        ]:
-            assert total_count(spec) == bracelet_count_direct(spec), spec
-
-    def test_non_divisible_total_raises(self, monkeypatch):
-        # Reading C(7, 4) one higher adds C(5, 4) = 5 fixed points to the
-        # identity rotation's C(7, 4) * C(5, 4), which 2M = 10 does not
-        # divide; gcd(5, 8, 6) = 1, so no other rotation contributes.
-        rig_pascal(monkeypatch, 7, 4)
-        with pytest.raises(IntegralityError, match="not divisible"):
-            count_necklaces(NecklaceSpec(8, 6), 10)
-
-    def test_non_divisible_rotation_sum_raises(self, monkeypatch):
-        # gcd(2, 4, 6) = 2: the half-turn fixes C(1, 0) * C(2, 0) = 1
-        # assignment, so phi(2) read as 2 leaves 25 fixed points over 2M = 4.
-        monkeypatch.setattr(counting, "_rotation_classes", lambda g: ((2, 2),))
-        with pytest.raises(IntegralityError, match="not divisible"):
-            count_necklaces(NecklaceSpec(4, 6), 4)
-
-    def test_misread_totient_past_two_raises(self, monkeypatch):
-        # gcd(6, 6, 12) = 6: the third-turns fix C(1, 1) * C(3, 1) = 3
-        # assignments, so phi(3) read one higher leaves 603 fixed points
-        # over 2M = 12; the d = 2 and d = 6 terms are read correctly.
-        real = counting._rotation_classes
-        monkeypatch.setattr(
-            counting,
-            "_rotation_classes",
-            lambda g: tuple((d, phi + (d == 3)) for d, phi in real(g)),
-        )
-        with pytest.raises(IntegralityError, match="603 not divisible by .* 12"):
-            count_necklaces(NecklaceSpec(6, 12), 12)
-
 
 # Contents on which the kernel's one sum is evaluated from both binomial
 # sources, the table and math.comb: every one with both colors <= 64, and
@@ -239,16 +208,11 @@ class TestPascalTable:
 
     @pytest.mark.parametrize("group", list(PATH_CONTENTS))
     def test_table_path_matches_comb_path(self, monkeypatch, group):
+        # Both sources read the same (n, k).  A table read with k < 0 would
+        # wrap to the row's end, so the math.comb pass also records every
+        # read that falls outside 0 <= k <= n.
         specs = [NecklaceSpec(a, b) for a, b in PATH_CONTENTS[group]]
         table = [alternation_distribution(spec) for spec in specs]
-        monkeypatch.setattr(counting, "_PASCAL_ROWS", 0)
-        for spec, counts in zip(specs, table):
-            assert alternation_distribution(spec) == counts, spec
-
-    def test_no_read_leaves_its_row(self, monkeypatch):
-        # Both sources read the same (n, k).  A table read with k < 0 would
-        # wrap to the row's end, so every read through math.comb is
-        # recorded when it falls outside 0 <= k <= n.
         real = counting.comb
         outside = []
 
@@ -259,9 +223,8 @@ class TestPascalTable:
 
         monkeypatch.setattr(counting, "_PASCAL_ROWS", 0)
         monkeypatch.setattr(counting, "comb", checked)
-        for contents in PATH_CONTENTS.values():
-            for a, b in contents:
-                alternation_distribution(NecklaceSpec(a, b))
+        for spec, counts in zip(specs, table):
+            assert alternation_distribution(spec) == counts, spec
         assert outside == []
 
     def test_comb_rows_are_binomials(self):
@@ -273,11 +236,6 @@ class TestPascalTable:
 
 
 class TestCountNecklaces:
-    def test_alpha_dispatch(self):
-        assert count_necklaces(NecklaceSpec(8, 6), 10) == 19
-        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
-        assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
-
     @pytest.mark.parametrize(
         "alpha, message",
         [
@@ -295,20 +253,9 @@ class TestCountNecklaces:
         assert str(info.value) == f"alternation count {message}"
 
 
-class TestZeroAlternationCount:
-    def test_homogeneous_chains(self):
-        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
-        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
-
-
 class TestAlternationDistribution:
-    def test_known_small_distributions(self):
-        assert alternation_distribution(NecklaceSpec(2, 2)) == {0: 0, 2: 1, 4: 1}
-        assert alternation_distribution(NecklaceSpec(1, 1)) == {0: 0, 2: 1}
-        assert alternation_distribution(NecklaceSpec(0, 4)) == {0: 1}
-
     def test_keys_are_every_even_value_in_range(self):
-        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2), (6, 9), (12, 5)]:
+        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2), (6, 9), (12, 5), (1, 1), (2, 2)]:
             dist = alternation_distribution(NecklaceSpec(a, b))
             assert sorted(dist) == list(range(0, 2 * min(a, b) + 1, 2))
 
@@ -333,13 +280,16 @@ class TestTotals:
             bracelet_count_direct(NecklaceSpec(7500, 7500))
 
     def test_two_independent_derivations_agree(self):
-        # Every content up to N = 120, one color absent included, and
-        # contents whose gcd(N, n_at) has many divisors.
-        specs = [NecklaceSpec(a, n - a) for n in range(1, 121) for a in range(n + 1)]
-        specs += [NecklaceSpec(99, 101), NecklaceSpec(720, 360)]
-        specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
-        for spec in specs:
-            assert total_count(spec) == bracelet_count_direct(spec), spec
+        # Every content up to N = 120, one color absent included; contents
+        # whose gcd(N, n_at) has many divisors; and chains of 1 000 to
+        # 3 000 base pairs.
+        contents = [(a, n - a) for n in range(1, 121) for a in range(n + 1)]
+        contents += [(99, 101), (720, 360), (360, 720), (0, 720)]
+        contents += [(500, 500), (700, 1400), (1201, 1200), (429, 2571)]
+        for content in contents:
+            spec = NecklaceSpec(*content)
+            total = sum(alternation_distribution(spec).values())
+            assert total == bracelet_count_direct(spec), content
 
 
 def _phi(n):
@@ -351,11 +301,6 @@ class TestTotient:
     """phi as the kernel's private `_rotation_classes` lists it, against the
     reference route's divisor list and phi, which counts coprime j from the
     definition and so shares no arithmetic with the helper's factorization."""
-
-    def test_known_values(self):
-        assert _rotation_classes(1) == ()
-        assert _phi(5) == 4
-        assert _phi(12) == 4
 
     def test_multiplicative_on_coprime_pairs(self):
         for m in range(1, 101):
@@ -382,12 +327,9 @@ class TestTotient:
             assert sum(totient_by_definition(d) for d in divisors(n)) == n
 
     def test_matches_gcd_count_definition(self):
-        # Every divisor d >= 2 of every g <= 2 000, each with its phi.
-        phi = [0] + [totient_by_definition(d) for d in range(1, 2001)]
-        for g in range(1, 2001):
-            expected = [(d, phi[d]) for d in divisors(g)[1:]]
+        # Every divisor d >= 2, each with its phi, of every g <= 2 000 (g = 1
+        # has none) and of 10 001, 10 007, 12 288, 30 030 and 65 537.
+        phi = functools.cache(totient_by_definition)
+        for g in [*range(1, 2001), 10_001, 10_007, 12_288, 30_030, 65_537]:
+            expected = [(d, phi(d)) for d in divisors(g)[1:]]
             assert sorted(_rotation_classes(g)) == expected, g
-
-    def test_large_values_match_definition(self):
-        for n in (10_001, 10_007, 12_288, 30_030, 65_537):
-            assert _phi(n) == totient_by_definition(n)

@@ -54,5 +54,11 @@ def test_plain_lines_take_the_fast_path():
         name for name, case in CASES.items() if cli._fast_parse(case["argv"]) is None
     }
     helps = {name for name, case in CASES.items() if "--help" in case["argv"]}
-    refused = {"fit-at-without-gc", "fit-pdf-file-and-content"}
+    refused = {"fit-at-without-gc", "fit-unknown-flag"}
     assert fallbacks == helps | refused | {"mc-bad-seed"}
+
+
+def test_every_out_file_has_a_case():
+    # An `.out` file with no case is never replayed, and a case with no
+    # `.out` file fails only when it runs.
+    assert {path.stem for path in GOLDEN.glob("*.out")} == set(CASES)
