@@ -1,4 +1,3 @@
-import functools
 import math
 
 import pytest
@@ -17,6 +16,11 @@ from dna_necklace.counting import (
 from reference.cycle_index import count_orbits, dihedral_bipartite_index, divisors
 from reference.cycle_index import totient as totient_by_definition
 from cli_harness import run_cli
+
+
+def total_count(spec):
+    """Total distinct necklaces with the given content, summed over alpha."""
+    return sum(alternation_distribution(spec).values())
 
 
 def rig_comb(monkeypatch, n, k):
@@ -54,7 +58,7 @@ _PLANTED = [
     # C(7, 4) one higher adds C(5, 4) = 5 fixed points to the identity
     # rotation's C(7, 4) * C(5, 4) over 2M = 10; gcd(5, 8, 6) = 1, so no
     # other rotation contributes.
-    ("identity-table", lambda mp: rig_pascal(mp, 7, 4),
+    ("identity-comb", lambda mp: rig_pascal(mp, 7, 4),
      ["count", "--alpha", "10", "--at", "8", "--gc", "6"],
      "Burnside total 195 not divisible by group order 10"),
     # The same fault past the table, where the kernel calls math.comb:
@@ -97,25 +101,6 @@ def test_integrality_failure_exits_three(monkeypatch, rig, argv, message_end):
     assert "Traceback" not in err and "Exceeds the limit" not in err
 
 
-# Counts known by hand: ((n_at, n_gc), alpha, count).  A new known count is
-# one row here.
-KNOWN = [
-    ((8, 6), 10, 19),  # the paper's worked example
-    ((2, 1), 2, 1),  # one block of each color
-    ((1, 1), 0, 0), ((1, 1), 2, 1),
-    ((2, 2), 0, 0), ((2, 2), 2, 1), ((2, 2), 4, 1),
-    ((3, 4), 0, 0),  # both colors present: no necklace without alternations
-    ((0, 4), 0, 1), ((0, 7), 0, 1), ((5, 0), 0, 1),  # the homogeneous necklace
-]
-
-
-def test_known_counts():
-    for content, alpha, count in KNOWN:
-        spec = NecklaceSpec(*content)
-        assert count_necklaces(spec, alpha) == count, (content, alpha)
-        assert alternation_distribution(spec)[alpha] == count, (content, alpha)
-
-
 def every_query(contents):
     """(M, n_at, n_gc) for every M in the support of each (n_at, n_gc)."""
     return [(m, a, b) for a, b in contents for m in range(1, min(a, b) + 1)]
@@ -130,12 +115,6 @@ KERNEL_QUERIES = {
     "rotation-contents": every_query(
         [(4, 6), (6, 12), (12, 18), (24, 24), (36, 24), (30, 45)]
     ),
-    # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24 divisors,
-    # each of whose rotations fixes some assignments.  The last four take
-    # the even-M reflection term through each parity class of (n_at,
-    # n_gc): even/even, odd/even, even/odd, odd/odd.
-    "divisor-walk": [(60, 120, 240), (72, 144, 216), (120, 240, 360), (360, 720, 720)]
-    + [(24, 100, 90), (24, 101, 90), (24, 100, 91), (24, 101, 91)],
 }
 
 
@@ -148,7 +127,17 @@ def container_queries(draw, max_total=200):
     return m, n_at, n_gc
 
 
+class TestNecklaceSpec:
+    def test_derived_quantities(self):
+        spec = NecklaceSpec(8, 6)
+        assert spec.total == 14
+        assert spec.max_alternations == 12
+
+
 class TestNecklaceCount:
+    def test_single_block_of_each_color(self):
+        assert count_necklaces(NecklaceSpec(2, 1), 2) == 1
+
     def test_color_symmetry(self):
         for a, b in [(8, 6), (9, 4), (12, 7), (5, 5), (6, 9), (12, 5)]:
             assert alternation_distribution(NecklaceSpec(a, b)) == (
@@ -183,6 +172,49 @@ class TestClosedFormKernel:
             assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
                 dihedral_bipartite_index(m), n_at, n_gc
             ), (m, n_at, n_gc)
+
+    @pytest.mark.parametrize(
+        "m, n_at, n_gc",
+        [
+            (60, 120, 240),
+            (72, 144, 216),
+            (120, 240, 360),
+            (360, 720, 720),
+            (24, 100, 90),
+            (24, 101, 90),
+            (24, 100, 91),
+            (24, 101, 91),
+        ],
+    )
+    def test_divisor_walk_matches_cycle_index_route(self, m, n_at, n_gc):
+        # The first four have gcd(M, n_at, n_gc) = M, with 12 to 24
+        # divisors, each of whose rotations fixes some assignments.  The
+        # last four take the even-M reflection term through each parity
+        # class of (n_at, n_gc): even/even, odd/even, even/odd, odd/odd.
+        assert count_necklaces(NecklaceSpec(n_at, n_gc), 2 * m) == count_orbits(
+            dihedral_bipartite_index(m), n_at, n_gc
+        )
+
+    def test_long_chain_totals_match_bead_burnside(self):
+        for spec in [
+            NecklaceSpec(500, 500),
+            NecklaceSpec(700, 1400),
+            NecklaceSpec(1201, 1200),
+            NecklaceSpec(429, 2571),
+        ]:
+            assert total_count(spec) == bracelet_count_direct(spec), spec
+
+    # The library raises for two faults of _PLANTED; the rows check the
+    # message that reaches the command line.
+    def test_non_divisible_total_raises(self, monkeypatch):
+        rig_pascal(monkeypatch, 7, 4)
+        with pytest.raises(IntegralityError, match="total 195 not divisible by group order 10"):
+            count_necklaces(NecklaceSpec(8, 6), 10)
+
+    def test_non_divisible_rotation_sum_raises(self, monkeypatch):
+        rig_totient(monkeypatch, 2)
+        with pytest.raises(IntegralityError, match="total 25 not divisible by group order 4"):
+            count_necklaces(NecklaceSpec(4, 6), 4)
 
 
 # Contents on which the kernel's one sum is evaluated from both binomial
@@ -236,6 +268,11 @@ class TestPascalTable:
 
 
 class TestCountNecklaces:
+    def test_alpha_dispatch(self):
+        assert count_necklaces(NecklaceSpec(8, 6), 10) == 19
+        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
+        assert count_necklaces(NecklaceSpec(3, 4), 0) == 0
+
     @pytest.mark.parametrize(
         "alpha, message",
         [
@@ -253,9 +290,20 @@ class TestCountNecklaces:
         assert str(info.value) == f"alternation count {message}"
 
 
+class TestZeroAlternationCount:
+    def test_homogeneous_chains(self):
+        assert count_necklaces(NecklaceSpec(0, 7), 0) == 1
+        assert count_necklaces(NecklaceSpec(5, 0), 0) == 1
+
+
 class TestAlternationDistribution:
+    def test_known_small_distributions(self):
+        assert alternation_distribution(NecklaceSpec(2, 2)) == {0: 0, 2: 1, 4: 1}
+        assert alternation_distribution(NecklaceSpec(1, 1)) == {0: 0, 2: 1}
+        assert alternation_distribution(NecklaceSpec(0, 4)) == {0: 1}
+
     def test_keys_are_every_even_value_in_range(self):
-        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2), (6, 9), (12, 5), (1, 1), (2, 2)]:
+        for a, b in [(3, 9), (7, 7), (0, 5), (10, 2), (6, 9), (12, 5)]:
             dist = alternation_distribution(NecklaceSpec(a, b))
             assert sorted(dist) == list(range(0, 2 * min(a, b) + 1, 2))
 
@@ -280,16 +328,13 @@ class TestTotals:
             bracelet_count_direct(NecklaceSpec(7500, 7500))
 
     def test_two_independent_derivations_agree(self):
-        # Every content up to N = 120, one color absent included; contents
-        # whose gcd(N, n_at) has many divisors; and chains of 1 000 to
-        # 3 000 base pairs.
-        contents = [(a, n - a) for n in range(1, 121) for a in range(n + 1)]
-        contents += [(99, 101), (720, 360), (360, 720), (0, 720)]
-        contents += [(500, 500), (700, 1400), (1201, 1200), (429, 2571)]
-        for content in contents:
-            spec = NecklaceSpec(*content)
-            total = sum(alternation_distribution(spec).values())
-            assert total == bracelet_count_direct(spec), content
+        # Every content up to N = 120, one color absent included, and
+        # contents whose gcd(N, n_at) has many divisors.
+        specs = [NecklaceSpec(a, n - a) for n in range(1, 121) for a in range(n + 1)]
+        specs += [NecklaceSpec(99, 101), NecklaceSpec(720, 360)]
+        specs += [NecklaceSpec(360, 720), NecklaceSpec(0, 720)]
+        for spec in specs:
+            assert total_count(spec) == bracelet_count_direct(spec), spec
 
 
 def _phi(n):
@@ -301,6 +346,11 @@ class TestTotient:
     """phi as the kernel's private `_rotation_classes` lists it, against the
     reference route's divisor list and phi, which counts coprime j from the
     definition and so shares no arithmetic with the helper's factorization."""
+
+    def test_known_values(self):
+        assert _rotation_classes(1) == ()
+        assert _phi(5) == 4
+        assert _phi(12) == 4
 
     def test_multiplicative_on_coprime_pairs(self):
         for m in range(1, 101):
@@ -327,9 +377,14 @@ class TestTotient:
             assert sum(totient_by_definition(d) for d in divisors(n)) == n
 
     def test_matches_gcd_count_definition(self):
-        # Every divisor d >= 2, each with its phi, of every g <= 2 000 (g = 1
-        # has none) and of 10 001, 10 007, 12 288, 30 030 and 65 537.
-        phi = functools.cache(totient_by_definition)
-        for g in [*range(1, 2001), 10_001, 10_007, 12_288, 30_030, 65_537]:
-            expected = [(d, phi(d)) for d in divisors(g)[1:]]
+        # Every divisor d >= 2 of every g <= 2 000, each with its phi.
+        phi = [0] + [totient_by_definition(d) for d in range(1, 2001)]
+        for g in range(1, 2001):
+            expected = [(d, phi[d]) for d in divisors(g)[1:]]
+            assert sorted(_rotation_classes(g)) == expected, g
+
+    def test_large_values_match_definition(self):
+        # Every divisor d >= 2, each with its phi.
+        for g in (10_001, 10_007, 12_288, 30_030, 65_537):
+            expected = [(d, totient_by_definition(d)) for d in divisors(g)[1:]]
             assert sorted(_rotation_classes(g)) == expected, g

@@ -16,6 +16,8 @@ from dna_necklace.stats import (
     GaussianFit,
     RatioSweepResult,
     SweepRow,
+    sweep_fixed_at,
+    sweep_fixed_ratio,
 )
 
 SPEC = NecklaceSpec(3, 5)
@@ -126,3 +128,15 @@ def test_defaults_fill_the_trailing_fields():
         assert cls._field_defaults == {}, cls
     with pytest.raises(TypeError):
         MCConfig(SPEC, 10, 1)
+
+
+def test_sweep_error_rows_keep_fit_none():
+    # (3, 3) has a flat pdf, which the fit refuses.
+    (row,) = sweep_fixed_at(3, [3])
+    assert row.fit is None
+    assert "no peak to fit" in row.error
+    result = sweep_fixed_ratio((1, 1), [6, 8])
+    failed, fitted = result.rows
+    assert failed.fit is None and "no peak to fit" in failed.error
+    assert isinstance(fitted.fit, GaussianFit) and fitted.error is None
+    assert result.slope is None  # one fitted row gives no line
