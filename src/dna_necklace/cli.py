@@ -6,10 +6,11 @@ exceed every native wire type (10^25 and up).  CSV output starts with
 the CSV columns with a "parameters" object instead.  Identical invocations
 (including seed) produce byte-identical output.
 
-Exit codes: 0 success, 2 usage or validation error (an unwritable or
-empty --out path and running out of memory among them), 3 internal
-integrality failure (a correctness bug, not a user error), 130 an
-interrupt (Ctrl-C) of the `dna-necklace` process.
+Output goes to stdout only; ``> path`` in the shell writes a file.
+Exit codes: 0 success, 2 usage or validation error (a failed write and
+running out of memory among them), 3 internal integrality failure (a
+correctness bug, not a user error), 130 an interrupt (Ctrl-C) of the
+`dna-necklace` process.
 
 Each subcommand's options are stated once, in the `_COMMANDS` table.  A
 plain command line (see `_fast_parse`) becomes the same namespace,
@@ -60,7 +61,7 @@ def _fmt(value) -> str:
 
 
 # Namespace keys that frame a run rather than parameterize it.
-_FRAME_KEYS = frozenset(("quiet", "command", "func", "format", "out"))
+_FRAME_KEYS = frozenset(("quiet", "command", "func", "format"))
 
 
 def _parameters(args) -> dict:
@@ -106,16 +107,12 @@ def _render(args, rows: list[dict]) -> str:
     return out.getvalue()
 
 
-def _write(path: str | None, text: str) -> None:
-    """`text` into the file at `path`, or onto stdout, flushed."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    elif sys.stdout is None:  # started with file descriptor 1 closed
+def _write(text: str) -> None:
+    """`text` onto stdout, flushed, so a failed write raises here."""
+    if sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError("standard output is closed")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 def _spec(args) -> NecklaceSpec:
@@ -233,7 +230,6 @@ _BEADS = {
 }
 _TABLE_FLAGS = {
     "--format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
-    "--out": {"help": "write output to this file instead of stdout"},
 }
 
 # Each subcommand once: its help line, its options in parser order (each
@@ -303,7 +299,7 @@ def build_parser():
         # argparse's writers drop a failed write and, with stderr closed,
         # put usage errors on stdout.  Here help is output; errors stderr's.
         def print_help(self, file=None):
-            _write(None, self.format_help())
+            _write(self.format_help())
 
         def _print_message(self, message, file=None):
             if sys.stderr is not None:
@@ -379,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _fast_parse(argv) or build_parser().parse_args(argv)
-        _write(getattr(args, "out", None), args.func(args))
+        _write(args.func(args))
     except SystemExit as exc:  # argparse's help (0) or usage error (2)
         return exc.code
     except (ValueError, OSError) as exc:

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -81,21 +82,6 @@ class TestPdf:
         assert max(map(len, counts)) > 640
         dist = alternation_distribution(NecklaceSpec(1200, 1200))
         assert [int(count) for count in counts] == [dist[a] for a in sorted(dist)]
-
-    def test_out_file_matches_stdout(self, tmp_path):
-        path = tmp_path / "pdf.csv"
-        run_cli("--quiet", "pdf", "--at", "5", "--gc", "7", "--out", str(path))
-        _, out, _ = run_cli("--quiet", "pdf", "--at", "5", "--gc", "7")
-        assert path.read_text() == out
-
-    @pytest.mark.parametrize(
-        "target", ["missing/x.csv", ".", ""], ids=["no-folder", "folder", "empty"]
-    )
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, target):
-        monkeypatch.chdir(tmp_path)
-        result = run_cli("pdf", "--at", "2", "--gc", "2", "--out", target)
-        assert_usage_error(result, f": {target!r}\n")
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestMc:
@@ -210,6 +196,9 @@ _REFUSED_ARGV = [
      ["sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80"], "GC:AT"),
     ("oracle-n-19", ["oracle", "--n", "19"], "1 <= n <= 18, got 19"),
     ("oracle-n-0", ["oracle", "--n", "0"], "1 <= n <= 18, got 0"),
+    # Output goes to stdout only; the shell's `>` writes a file.
+    ("pdf-out", ["pdf", "--at", "2", "--gc", "2", "--out", "missing/x.csv"],
+     "unrecognized arguments: --out missing/x.csv"),
 ]
 
 
@@ -412,12 +401,6 @@ class TestEntrypoint:
         _, expected, _ = run_cli(*argv)
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
-
-    def test_out_file_survives_the_exit(self, tmp_path):
-        path = tmp_path / "pdf.csv"
-        proc = run_module(*LARGE_PDF, "--out", str(path))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-        assert path.read_bytes() == run_cli(*LARGE_PDF)[1].encode()
 
     @pytest.mark.parametrize("program, unbuffered, out, err, expected", _CHILD_EXITS)
     def test_child_exit_contract(self, program, unbuffered, out, err, expected):
@@ -677,3 +660,13 @@ def test_every_option_has_help_text():
         if action.option_strings and not (action.help or "").strip()
     ]
     assert undescribed == []
+
+
+def test_readme_names_only_real_options():
+    # A removed option must not stay documented.  Besides the program's
+    # options, README names pip's --no-build-isolation and the prose
+    # placeholder --flag.
+    options = {"--help", "--quiet", "--no-build-isolation", "--flag"}
+    options |= {flag for _, flags, _ in cli._COMMANDS.values() for flag in flags}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - options == set()
