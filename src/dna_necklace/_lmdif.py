@@ -13,8 +13,8 @@ checks this by running scipy's MINPACK in this function's place inside
 
 - a Fortran `a**2` is written `a * a`: CPython's `a ** 2` calls the C
   library's `pow`, which is not always the correctly rounded square;
-- sums are plain left-to-right loops: `sum()` and `math.fsum` may
-  compensate rounding and so differ;
+- sums are plain left-to-right loops, `_dot` and `_axpy`: `sum()` and
+  `math.fsum` may compensate rounding and so differ;
 - no two operations are fused or reordered, even where the algebra
   allows it.
 
@@ -87,26 +87,18 @@ def lmdif(fcn: Residuals, x0: Sequence[float]) -> tuple[list[float], int]:
         for j in range(n):
             col = fjac[j]
             if col[j] != 0.0:
-                s = 0.0
-                for i in range(j, m):
-                    s = s + col[i] * wa4[i]
-                temp = -s / col[j]
-                for i in range(j, m):
-                    wa4[i] = wa4[i] + col[i] * temp
+                _axpy(-_dot(col, wa4, j, m) / col[j], col, wa4, j, m)
             col[j] = rdiag[j]
             qtf.append(wa4[j])
 
         # Norm of the scaled gradient.
         gnorm = 0.0
         if fnorm != 0.0:
+            scaled = [v / fnorm for v in qtf]
             for j in range(n):
                 l = ipvt[j]
                 if acnorm[l] != 0.0:
-                    col = fjac[j]
-                    s = 0.0
-                    for i in range(j + 1):
-                        s = s + col[i] * (qtf[i] / fnorm)
-                    gnorm = max(gnorm, abs(s / acnorm[l]))
+                    gnorm = max(gnorm, abs(_dot(fjac[j], scaled, 0, j + 1) / acnorm[l]))
         if gnorm <= GTOL:
             return x, 4
         diag = [max(diag[j], acnorm[j]) for j in range(n)]
@@ -129,10 +121,7 @@ def lmdif(fcn: Residuals, x0: Sequence[float]) -> tuple[list[float], int]:
                 actred = 1.0 - t * t
             wa3 = [0.0] * n
             for j in range(n):
-                col = fjac[j]
-                temp = step[ipvt[j]]
-                for i in range(j + 1):
-                    wa3[i] = wa3[i] + col[i] * temp
+                _axpy(step[ipvt[j]], fjac[j], wa3, 0, j + 1)
             temp1 = _enorm(wa3) / fnorm
             temp2 = (math.sqrt(par) * pnorm) / fnorm
             prered = temp1 * temp1 + temp2 * temp2 / 0.5
@@ -178,6 +167,20 @@ def lmdif(fcn: Residuals, x0: Sequence[float]) -> tuple[list[float], int]:
                 return x, 5
             if ratio >= 1e-4:
                 break
+
+
+def _dot(u: Sequence[float], v: Sequence[float], lo: int, hi: int) -> float:
+    """Sum of u[i] * v[i] for i in range(lo, hi), from left to right."""
+    s = 0.0
+    for i in range(lo, hi):
+        s = s + u[i] * v[i]
+    return s
+
+
+def _axpy(a: float, x: Sequence[float], y: list[float], lo: int, hi: int) -> None:
+    """y[i] = y[i] + x[i] * a for i in range(lo, hi), in place."""
+    for i in range(lo, hi):
+        y[i] = y[i] + x[i] * a
 
 
 def _enorm(v: Sequence[float]) -> float:
@@ -267,12 +270,7 @@ def _qrfac(a: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
             # Apply it to the remaining columns and update their norms.
             for k in range(j + 1, n):
                 ak = a[k]
-                s = 0.0
-                for i in range(j, m):
-                    s = s + aj[i] * ak[i]
-                temp = s / aj[j]
-                for i in range(j, m):
-                    ak[i] = ak[i] - temp * aj[i]
+                _axpy(-(_dot(aj, ak, j, m) / aj[j]), aj, ak, j, m)
                 if rdiag[k] != 0.0:
                     temp = ak[j] / rdiag[k]
                     rdiag[k] = rdiag[k] * math.sqrt(max(0.0, 1.0 - temp * temp))
@@ -309,11 +307,8 @@ def _lmpar(
         if nsing < n:
             wa1[j] = 0.0
     for j in reversed(range(nsing)):
-        col = r[j]
-        wa1[j] = wa1[j] / col[j]
-        temp = wa1[j]
-        for i in range(j):
-            wa1[i] = wa1[i] - col[i] * temp
+        wa1[j] = wa1[j] / r[j][j]
+        _axpy(-wa1[j], r[j], wa1, 0, j)
     x = [0.0] * n
     for j in range(n):
         x[ipvt[j]] = wa1[j]
@@ -332,21 +327,13 @@ def _lmpar(
             l = ipvt[j]
             wa1[j] = diag[l] * (wa2[l] / dxnorm)
         for j in range(n):
-            col = r[j]
-            s = 0.0
-            for i in range(j):
-                s = s + col[i] * wa1[i]
-            wa1[j] = (wa1[j] - s) / col[j]
+            wa1[j] = (wa1[j] - _dot(r[j], wa1, 0, j)) / r[j][j]
         temp = _enorm(wa1)
         parl = ((fp / delta) / temp) / temp
 
     # Upper bound paru.
     for j in range(n):
-        col = r[j]
-        s = 0.0
-        for i in range(j + 1):
-            s = s + col[i] * qtb[i]
-        wa1[j] = s / diag[ipvt[j]]
+        wa1[j] = _dot(r[j], qtb, 0, j + 1) / diag[ipvt[j]]
     gnorm = _enorm(wa1)
     paru = gnorm / delta
     if paru == 0.0:
@@ -378,11 +365,8 @@ def _lmpar(
             l = ipvt[j]
             wa1[j] = diag[l] * (wa2[l] / dxnorm)
         for j in range(n):
-            col = r[j]
             wa1[j] = wa1[j] / sdiag[j]
-            temp = wa1[j]
-            for i in range(j + 1, n):
-                wa1[i] = wa1[i] - col[i] * temp
+            _axpy(-wa1[j], r[j], wa1, j + 1, n)
         temp = _enorm(wa1)
         parc = ((fp / delta) / temp) / temp
         if fp > 0.0:
@@ -451,11 +435,7 @@ def _qrsolv(
         if nsing < n:
             wa[j] = 0.0
     for j in reversed(range(nsing)):
-        col = r[j]
-        s = 0.0
-        for i in range(j + 1, nsing):
-            s = s + col[i] * wa[i]
-        wa[j] = (wa[j] - s) / sdiag[j]
+        wa[j] = (wa[j] - _dot(r[j], wa, j + 1, nsing)) / sdiag[j]
     for j in range(n):
         x[ipvt[j]] = wa[j]
     return x, sdiag

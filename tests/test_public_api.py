@@ -1,9 +1,16 @@
 """The package's public names and its modules, pinned: adding or removing
-one is a deliberate change that shows up as a diff of the lists below."""
+one is a deliberate change that shows up as a diff of the lists below.
+What the benchmark under perfbench/ reads of the package is checked
+against the package itself, so a change here cannot break it unseen."""
 
+import ast
 import pkgutil
+from pathlib import Path
 
 import dna_necklace
+from cli_harness import run_python
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MODULES = [
     "__main__",
@@ -53,3 +60,26 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in dna_necklace.__all__:
         assert getattr(dna_necklace, name) is not None, name
+
+
+def test_what_the_benchmark_reads_resolves():
+    """Every `dn.<name>` the benchmark reads off the package resolves, and
+    every `sys.modules["dna_necklace.<module>"]` it looks up is loaded by
+    a fresh `import dna_necklace`."""
+    names, modules = set(), set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "dn":
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Subscript)
+                and ast.unparse(node.value) == "sys.modules"
+                and isinstance(node.slice, ast.Constant)
+                and str(node.slice.value).startswith("dna_necklace.")
+            ):
+                modules.add(node.slice.value)
+    assert names and modules, "the benchmark's reads were not found"
+    assert [name for name in sorted(names) if not hasattr(dna_necklace, name)] == []
+    child = run_python("-c", "import sys, dna_necklace; print(*sorted(sys.modules))")
+    assert child.returncode == 0, child.stderr
+    assert sorted(modules - set(child.stdout.split())) == []
