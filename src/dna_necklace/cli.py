@@ -22,15 +22,15 @@ argparse's either way.
 
 `main` parses, runs and writes in one ``try`` and returns every exit
 code, help (0) and usage errors (2) included; only an interrupt reaches
-its caller.  It flushes what it writes, help too, so a failed write
-exits 2 however stdout is buffered; a failed write to stderr changes no
-exit code.  `entrypoint` ends every run with ``os._exit``, skipping
-interpreter teardown (``atexit`` handlers do not run).
+its caller.  Commands compute every value, then write as they format;
+`main` flushes once (help flushes itself), so a failed write exits 2
+however stdout is buffered, and a failed write to stderr changes no exit
+code.  `entrypoint` ends every run with ``os._exit``, skipping teardown.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
 import sys
 from types import SimpleNamespace
@@ -51,13 +51,9 @@ INTEGRALITY_ERROR = 3
 INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 
-def _fmt(value) -> str:
-    """One CSV cell; floats get 17 significant digits, None an empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _fmt(value):
+    """A CSV cell: floats to 17 digits; csv writes None as "", others by `str`."""
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
 # Namespace keys that frame a run rather than parameterize it.
@@ -82,59 +78,61 @@ def _provenance(args) -> str:
     return "".join(lines)
 
 
-def _render(args, rows: list[dict]) -> str:
-    """A table as CSV or JSON; the columns are the first row's keys, in order.
+def _render(args, rows) -> None:
+    """Write a table, CSV or JSON, to stdout; columns are the first row's keys.
 
     Every command emits at least one row, and all its rows share one key
-    order, so the first row states the columns for both formats.
+    order, so the first row states the columns for both formats.  CSV
+    formats one row at a time; JSON holds the rows and streams their text.
     """
+    out = _stdout()
     if args.format == "json":
         import json
 
         envelope: dict = {"command": args.command}
         if not args.quiet:
             envelope["parameters"] = _parameters(args)
-        envelope["rows"] = rows
-        return json.dumps(envelope, indent=2) + "\n"
+        envelope["rows"] = list(rows)
+        json.dump(envelope, out, indent=2)
+        out.write("\n")
+        return
     import csv
 
-    out = io.StringIO()
     out.write(_provenance(args))
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(rows[0])
-    for row in rows:
-        writer.writerow([_fmt(value) for value in row.values()])
-    return out.getvalue()
+    rows = iter(rows)
+    first = next(rows)
+    writer.writerow(first)
+    writer.writerows(map(_fmt, row.values()) for row in itertools.chain([first], rows))
 
 
-def _write(text: str) -> None:
-    """`text` onto stdout, flushed, so a failed write raises here."""
+def _stdout():
+    """`sys.stdout`; OSError if the process started without one."""
     if sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError("standard output is closed")
-    sys.stdout.write(text)
-    sys.stdout.flush()
+    return sys.stdout
 
 
 def _spec(args) -> NecklaceSpec:
     return NecklaceSpec(args.at, args.gc)
 
 
-def cmd_count(args) -> str:
+def cmd_count(args) -> None:
     count = count_necklaces(_spec(args), args.alpha)
-    return f"{_provenance(args)}{_digits(count)}\n"
+    _stdout().write(f"{_provenance(args)}{_digits(count)}\n")
 
 
-def cmd_pdf(args) -> str:
+def cmd_pdf(args) -> None:
     dist = alternation_distribution(_spec(args))
     total = sum(dist.values())
-    rows = [
+    rows = (
         {"alpha": alpha, "count": _digits(dist[alpha]), "probability": dist[alpha] / total}
         for alpha in sorted(dist)
-    ]
-    return _render(args, rows)
+    )
+    _render(args, rows)
 
 
-def cmd_mc(args) -> str:
+def cmd_mc(args) -> None:
     config = MCConfig(spec=_spec(args), runs=args.runs, seed=args.seed, sets=args.sets)
     reference = theoretical_pdf(config.spec)
     rows = []
@@ -152,11 +150,11 @@ def cmd_mc(args) -> str:
                     "frequency": empirical.entries[alpha],
                 }
             )
-    return _render(args, rows)
+    _render(args, rows)
 
 
-def cmd_fit(args) -> str:
-    return _render(args, [fit_gaussian(theoretical_pdf(_spec(args)))._asdict()])
+def cmd_fit(args) -> None:
+    _render(args, [fit_gaussian(theoretical_pdf(_spec(args)))._asdict()])
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -180,7 +178,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return gc_part, at_part
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> None:
     if args.mode == "fixed-at":
         if args.at is None or not args.gc_values:
             raise ValueError("fixed-at sweep needs --at and --gc-values")
@@ -209,16 +207,16 @@ def cmd_sweep(args) -> str:
         cells["max_pg"] = row.fit.amplitude if row.fit else None
         cells["error"] = row.error
         rows.append({**cells, **shared})
-    return _render(args, rows)
+    _render(args, rows)
 
 
-def cmd_oracle(args) -> str:
+def cmd_oracle(args) -> None:
     buckets = enumerate_all(args.n)
     rows = [
         {"n_at": n_at, "alpha": alpha, "count": _digits(buckets[(n_at, alpha)])}
         for n_at, alpha in sorted(buckets)
     ]
-    return _render(args, rows)
+    _render(args, rows)
 
 
 _QUIET = ("-q", "--quiet")
@@ -299,7 +297,7 @@ def build_parser():
         # argparse's writers drop a failed write and, with stderr closed,
         # put usage errors on stdout.  Here help is output; errors stderr's.
         def print_help(self, file=None):
-            _write(self.format_help())
+            print(self.format_help(), end="", file=_stdout(), flush=True)
 
         def _print_message(self, message, file=None):
             if sys.stderr is not None:
@@ -375,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _fast_parse(argv) or build_parser().parse_args(argv)
-        _write(args.func(args))
+        args.func(args)
+        _stdout().flush()
     except SystemExit as exc:  # argparse's help (0) or usage error (2)
         return exc.code
     except (ValueError, OSError) as exc:

@@ -17,10 +17,13 @@ package.
 The ``pytester`` plugin lets a test run the repository's own pytest
 settings on a throwaway suite in a child process.
 
-The report header names the numpy and scipy versions and whether numpy
-dispatches AVX512F code: the `fit`/`sweep` goldens and the benchmark's
-fit digests hold on one CPU class only, since ``np.exp`` picks SIMD code
-for the CPU.  numpy is imported inside the hook alone, so the test
+The report header names the numpy and scipy versions and the SIMD
+targets numpy dispatches to: those of its ``__cpu_dispatch__`` builds
+that ``__cpu_features__`` marks usable, which is also what
+``NPY_DISABLE_CPU_FEATURES`` turns off (a CPU feature flag alone says
+nothing of that).  The `fit`/`sweep` goldens and the benchmark's fit
+digests hold on one CPU class only, since ``np.exp`` picks SIMD code for
+the CPU.  numpy is imported inside the hook alone, so the test
 modules' own import probes (child processes) see no change.
 """
 
@@ -55,15 +58,16 @@ def pytest_report_header(config):
     import numpy
 
     try:
-        from numpy._core._multiarray_umath import __cpu_features__
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     try:
         import scipy
     except ImportError:  # the lmdif comparisons skip
         scipy = None
+    targets = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
     return (
         f"numpy {numpy.__version__}, "
         f"scipy {scipy.__version__ if scipy else 'absent'}, "
-        f"numpy dispatches AVX512F: {'yes' if __cpu_features__.get('AVX512F') else 'no'}"
+        f"numpy dispatches: {' '.join(targets) or 'its baseline only'}"
     )

@@ -82,6 +82,26 @@ class TestPdf:
         assert max(map(len, counts)) > 640
         dist = alternation_distribution(NecklaceSpec(1200, 1200))
         assert [int(count) for count in counts] == [dist[a] for a in sorted(dist)]
+        if "json" in argv:
+            # Streamed past the goldens' sizes, the text is still the one
+            # `json.dumps` makes of the whole envelope.
+            total = sum(dist.values())
+            envelope = {"command": "pdf"}
+            if "--quiet" not in argv:
+                envelope["parameters"] = {"at": 1200, "gc": 1200}
+            envelope["rows"] = [
+                {"alpha": a, "count": str(dist[a]), "probability": dist[a] / total}
+                for a in sorted(dist)
+            ]
+            assert out == json.dumps(envelope, indent=2) + "\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the probe reads Linux's VmHWM")
+    def test_memory_is_bounded_by_the_output(self):
+        # 1.14 MB of CSV.  Written as it is formatted, a table raises the
+        # peak above a tiny one's by less than its own size: the counts
+        # are held, their text is not.
+        peak, size = probe("pdf", "--at", "1600", "--gc", "1600")[2:]
+        assert peak - probe("pdf", "--at", "3", "--gc", "4")[2] < size
 
 
 class TestMc:
@@ -234,10 +254,11 @@ else:
 
 @functools.cache
 def probe(*argv):
-    """(loaded libraries, added modules, peak RSS in bytes) of a probe child."""
+    """(loaded libraries, added modules, peak RSS in bytes, stdout size in
+    bytes) of a probe child."""
     proc = run_python("-c", PROBE, *argv, check=True)
     libraries, added, kib = proc.stderr.splitlines()
-    return libraries, set(added.split(",")), int(kib) * 1024
+    return libraries, set(added.split(",")), int(kib) * 1024, len(proc.stdout.encode())
 
 
 # Probe rows: the package import, then one line of each command, with the
