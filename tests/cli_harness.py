@@ -1,6 +1,7 @@
 """The CLI runners and the exit-2 check the test modules share: exit code
 2, nothing on stdout and one ``error:`` line on stderr.  `run_python` is
-the one way a test starts a process."""
+the one way a test starts a process; `run_module` and `run_pytest` are
+its two common cases."""
 
 import contextlib
 import io
@@ -40,6 +41,17 @@ def run_python(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kw
 def run_module(*argv, **kwargs):
     """The completed ``python -m dna_necklace *argv`` child process."""
     return run_python("-m", "dna_necklace", *argv, **kwargs)
+
+
+def run_pytest(*args, **kwargs):
+    """The completed ``python -m pytest *args`` child process, quiet and
+    without the cache plugin.  A nested suite's verdict is its exit code,
+    so its asserts are not rewritten (``--assert=plain``): rewriting
+    recompiles every plugin module on each start when no bytecode is
+    cached (``PYTHONDONTWRITEBYTECODE``), most of a short child's time."""
+    return run_python(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "--assert=plain", *args, **kwargs
+    )
 
 
 def assert_usage_error(result, fragment):

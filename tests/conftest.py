@@ -14,9 +14,6 @@ gets the ``pythonpath`` entries of ``pyproject.toml`` through
 ``PYTHONPATH``, so a checkout runs the suite without installing the
 package.
 
-The ``pytester`` plugin lets a test run the repository's own pytest
-settings on a throwaway suite in a child process.
-
 The report header names the numpy and scipy versions and the SIMD
 targets numpy dispatches to: those of its ``__cpu_dispatch__`` builds
 that ``__cpu_features__`` marks usable, which is also what
@@ -31,8 +28,6 @@ import os
 import tempfile
 
 from hypothesis import settings
-
-pytest_plugins = ["pytester"]
 
 settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None

@@ -1,4 +1,6 @@
-"""Faults in the counting kernel the suite must catch, one row each.
+"""Faults the suite must catch, one row each: in the counting kernel and
+beyond it (the independent bracelet total, the CLI's exit codes, the
+MINPACK port).
 
 A row names a file of the tree, a text in it, the text that replaces it
 and the tests that must fail once it is replaced: modules, or one test's
@@ -6,8 +8,8 @@ node id.  The old text must occur exactly once in its file, so a refactor
 that moves or rewrites it fails the gate loudly instead of dropping the
 mutant: rewrite the row against the new code.  Each row names the fewest
 tests that kill it, since every row costs one pytest start.
-`tests/test_mutants.py` runs the table; a new kernel check adds its
-mutants here.
+`tests/test_mutants.py` runs the table; a new check adds its mutants
+here.
 """
 
 from collections import namedtuple
@@ -15,9 +17,11 @@ from collections import namedtuple
 Mutant = namedtuple("Mutant", "name path old new modules")
 
 COUNTING = "src/dna_necklace/counting.py"
+CLI = "src/dna_necklace/cli.py"
+LMDIF = "src/dna_necklace/_lmdif.py"
 # Criteria 1 and 2 (the worked example and the oracle comparison) kill
-# every kernel row below in about half a second; test_counting.py alone
-# runs four times as long.
+# each kernel row below (`count_necklaces`) in about half a second;
+# test_counting.py alone runs four times as long.
 ACCEPTANCE = ("tests/test_acceptance.py",)
 
 MUTANTS = [
@@ -79,6 +83,28 @@ MUTANTS = [
         "phi = power * (p - 1)",
         "phi = power * p",
         ACCEPTANCE,
+    ),
+    Mutant(
+        "bracelet-reflections-dropped",
+        COUNTING,
+        "fixed += n * comb(p, n_at // 2)",
+        "fixed += 0 * comb(p, n_at // 2)",
+        ("tests/test_acceptance.py::test_criterion_3_independent_normalizer",),
+    ),
+    Mutant(
+        "integrality-exit-as-usage",
+        CLI,
+        "return INTEGRALITY_ERROR",
+        "return USAGE_ERROR",
+        ("tests/test_counting.py::test_integrality_failure_exits_three",),
+    ),
+    # Only pdfs scaled past any real one reach _enorm's giant range.
+    Mutant(
+        "enorm-giant-range-squares-once",
+        LMDIF,
+        "s1 = 1.0 + s1 * (t * t)",
+        "s1 = 1.0 + s1 * t",
+        ("tests/test_lmdif.py::TestBitIdentity::test_giant_amplitude_pdfs",),
     ),
 ]
 

@@ -214,6 +214,9 @@ _REFUSED_ARGV = [
     ("sweep-no-n-values", ["sweep", "--mode", "fixed-ratio", "--ratio", "2:1"], "--n-values"),
     ("sweep-ratio-not-gc-at",
      ["sweep", "--mode", "fixed-ratio", "--ratio", "2", "--n-values", "80"], "GC:AT"),
+    ("sweep-ratio-not-integers",
+     ["sweep", "--mode", "fixed-ratio", "--ratio", "a:b", "--n-values", "80"],
+     "--ratio expects integers"),
     ("oracle-n-19", ["oracle", "--n", "19"], "1 <= n <= 18, got 19"),
     ("oracle-n-0", ["oracle", "--n", "0"], "1 <= n <= 18, got 0"),
     # Output goes to stdout only; the shell's `>` writes a file.

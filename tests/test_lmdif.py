@@ -80,6 +80,17 @@ class TestBitIdentity:
         # that catches it in qrsolv's Givens rotations.
         assert_same_fits(spec_pdfs([(3, 90), (3, 98), (5, 748), (4, 99)]))
 
+    def test_giant_amplitude_pdfs(self):
+        # No real pdf reaches _enorm's giant range, entries of at least
+        # _RGIANT / len(v) (about 1.3e19 / len(v)); these scaled ones do.
+        assert_same_fits(
+            ((spec, scale), DiscretePdf(
+                {alpha: p * scale for alpha, p in pdf.entries.items()}, pdf.provenance
+            ))
+            for spec, pdf in spec_pdfs([(20, 20), (6, 30), (50, 50)])
+            for scale in (1e20, 1e25)
+        )
+
     def test_failures_carry_the_same_message(self):
         spiky = DiscretePdf({2: 1.0, 6: 1.0, 10: 1e-300}, "theoretical")
         flat = theoretical_pdf(NecklaceSpec(3, 3))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cli_harness import run_python
+from cli_harness import run_pytest
 from mutants import CONTROL, MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +32,5 @@ def test_suite_kills_the_mutant(row, tmp_path, monkeypatch):
         target.write_text(text.replace(row.old, row.new), encoding="utf-8")
     monkeypatch.setenv("PYTHONPATH", str(tmp_path / "src"))
     monkeypatch.delenv("HYPOTHESIS_STORAGE_DIRECTORY", raising=False)
-    child = run_python(
-        "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *row.modules, cwd=tmp_path
-    )
+    child = run_pytest("-x", *row.modules, cwd=tmp_path)
     assert child.returncode == (0 if row.old is None else 1), child.stdout[-2000:]
