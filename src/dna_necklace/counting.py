@@ -19,12 +19,13 @@ math.comb, as `bracelet_count_direct` always does.  The general route
 that substitutes the weight series into the bipartite cycle index gives
 the same numbers; it lives with the tests
 (``tests/reference``), which compare the two.  Counts are plain Python
-ints, so they never overflow.  The tests check totals exactly against an
-independent Burnside sum over bead positions (`bracelet_count_direct`) up
-to chains of 3 000 base pairs.  The command line prints counts past the
-interpreter's digit limit exactly: `count` at (7500, 7500), 4 507 digits
-past the default 4 300, and `pdf` at (1200, 1200), 720 digits past a
-limit lowered to 640.
+ints, so they never overflow.  Every distribution checks its total
+exactly against an independent Burnside sum over bead positions
+(`bracelet_count_direct`), and the tests do so up to chains of 3 000
+base pairs.  The command line prints counts past the interpreter's digit
+limit exactly: `count` at (7500, 7500), 4 507 digits past the default
+4 300, and `pdf` at (1200, 1200), 720 digits past a limit lowered to
+640.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ _tuple_new = tuple.__new__
 
 
 class IntegralityError(ArithmeticError):
-    """An orbit total failed to reduce to an integer.
+    """An orbit total failed to reduce to an integer, or a distribution's
+    counts failed to sum to the independent bead-position total.
 
-    Burnside averages over a genuine group action are always integers, so
-    this firing means the fixed-point sum (or cycle index) is malformed.
+    Burnside averages over a genuine group action are always integers, and
+    both derivations count the same necklaces, so this firing means the
+    fixed-point sum (or cycle index) is malformed.
     """
 
 
@@ -194,9 +197,11 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
       sum folds into one term: its halves are equal for odd r, and for
       r = 2a Pascal's rule with C(a-1, k) = ((a-k)/k) C(a-1, k-1) gives
       C(a, k) + C(a-1, k) = ((2a-k)/k) C(a-1, k-1).  So the axes fix
-      (n_at + n_gc - M) C(n_at/2-1, k-1) C(n_gc/2-1, k-1) assignments
-      when both colors are even, M C(odd//2, k) C(even/2-1, k-1) when
-      exactly one is, and none when both are odd.
+      M C(odd//2, k) C(even/2-1, k-1) assignments when exactly one color
+      is even, (n_at + n_gc - M) C(n_at/2-1, k-1) C(n_gc/2-1, k-1) when
+      both are, and none when both are odd.  The sum tests the cases in
+      that order, one branch each: the first is the commonest, and each
+      parity test is a generic int operation.
 
     The sum reads every C(n, k) as c[n][k]: from `_PASCAL` when each
     color holds at most `_PASCAL_ROWS` beads, else from `_COMB_ROWS`,
@@ -223,14 +228,12 @@ def count_necklaces(spec: NecklaceSpec, alpha: int) -> int:
             fixed += phi * c[n_at // d - 1][m // d - 1] * c[n_gc // d - 1][m // d - 1]
     if m & 1:
         fixed += m * c[(n_at - 1) >> 1][k] * c[(n_gc - 1) >> 1][k]
+    elif (n_at ^ n_gc) & 1:
+        odd, even = (n_at, n_gc) if n_at & 1 else (n_gc, n_at)
+        fixed += m * c[odd >> 1][k] * c[(even >> 1) - 1][k - 1]
     elif not n_at & 1:
-        if n_gc & 1:
-            fixed += m * c[n_gc >> 1][k] * c[(n_at >> 1) - 1][k - 1]
-        else:
-            paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]
-            fixed += (n_at + n_gc - m) * paired
-    elif not n_gc & 1:
-        fixed += m * c[n_at >> 1][k] * c[(n_gc >> 1) - 1][k - 1]
+        paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]
+        fixed += (n_at + n_gc - m) * paired
     order = 2 * m
     if fixed % order:
         raise _not_divisible(fixed, order)
@@ -241,9 +244,18 @@ def alternation_distribution(spec: NecklaceSpec) -> dict[int, int]:
     """Counts for every alpha in {0, 2, ..., 2*min(n_at, n_gc)}.
 
     Entries may be zero (alpha = 0 is zero whenever both colors are
-    present).  Keys are exactly the even integers in range.
+    present).  Keys are exactly the even integers in range.  The counts
+    must sum to `bracelet_count_direct(spec)`; a mismatch, which
+    divisibility alone can miss, raises IntegralityError.
     """
-    return {a: count_necklaces(spec, a) for a in range(0, spec.max_alternations + 1, 2)}
+    dist = {a: count_necklaces(spec, a) for a in range(0, spec.max_alternations + 1, 2)}
+    total, direct = sum(dist.values()), bracelet_count_direct(spec)
+    if total != direct:
+        raise IntegralityError(
+            f"distribution total {_digits(total)} is not the bead-position"
+            f" total {_digits(direct)}"
+        )
+    return dist
 
 
 def bracelet_count_direct(spec: NecklaceSpec) -> int:
@@ -251,8 +263,8 @@ def bracelet_count_direct(spec: NecklaceSpec) -> int:
 
     This bypasses the container construction entirely: the rotation and
     reflection group of the N bead positions is averaged directly, giving
-    an independent derivation of the sum of `alternation_distribution`'s
-    counts.  Kept as a cross-check oracle.
+    an independent derivation of the total `alternation_distribution`
+    checks its counts against.
     """
     n, n_at = spec.total, spec.n_at
     # The phi(d) rotations with cycle length d (and n/d cycles) fix an

@@ -49,25 +49,17 @@ MUTANTS = [
     Mutant(
         "even-m-one-odd-k-plus-one",
         COUNTING,
-        "fixed += m * c[n_gc >> 1][k] *",
-        "fixed += m * c[n_gc >> 1][k + 1] *",
+        "fixed += m * c[odd >> 1][k] *",
+        "fixed += m * c[odd >> 1][k + 1] *",
         ACCEPTANCE,
     ),
+    # The even color takes the fixed containers' term, the odd one the
+    # paired term.
     Mutant(
         "one-odd-branches-swapped",
         COUNTING,
-        "            fixed += m * c[n_gc >> 1][k] * c[(n_at >> 1) - 1][k - 1]\n"
-        "        else:\n"
-        "            paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]\n"
-        "            fixed += (n_at + n_gc - m) * paired\n"
-        "    elif not n_gc & 1:\n"
-        "        fixed += m * c[n_at >> 1][k] * c[(n_gc >> 1) - 1][k - 1]\n",
-        "            fixed += m * c[n_at >> 1][k] * c[(n_gc >> 1) - 1][k - 1]\n"
-        "        else:\n"
-        "            paired = c[(n_at >> 1) - 1][k - 1] * c[(n_gc >> 1) - 1][k - 1]\n"
-        "            fixed += (n_at + n_gc - m) * paired\n"
-        "    elif not n_gc & 1:\n"
-        "        fixed += m * c[n_gc >> 1][k] * c[(n_at >> 1) - 1][k - 1]\n",
+        "odd, even = (n_at, n_gc) if n_at & 1 else (n_gc, n_at)",
+        "odd, even = (n_gc, n_at) if n_at & 1 else (n_at, n_gc)",
         ACCEPTANCE,
     ),
     Mutant(
@@ -90,6 +82,20 @@ MUTANTS = [
         "fixed += n * comb(p, n_at // 2)",
         "fixed += 0 * comb(p, n_at // 2)",
         ("tests/test_acceptance.py::test_criterion_3_independent_normalizer",),
+    ),
+    # Only a fault that keeps every Burnside total divisible reaches the
+    # distribution's total check.
+    Mutant(
+        "distribution-total-unchecked",
+        COUNTING,
+        "    if total != direct:\n"
+        "        raise IntegralityError(\n"
+        "            f\"distribution total {_digits(total)} is not the bead-position\"\n"
+        "            f\" total {_digits(direct)}\"\n"
+        "        )\n",
+        "",
+        ("tests/test_counting.py::test_integrality_failure_exits_three"
+         "[identity-comb-divisible]",),
     ),
     Mutant(
         "integrality-exit-as-usage",

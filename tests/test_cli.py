@@ -218,7 +218,6 @@ _REFUSED_ARGV = [
      ["sweep", "--mode", "fixed-ratio", "--ratio", "a:b", "--n-values", "80"],
      "--ratio expects integers"),
     ("oracle-n-19", ["oracle", "--n", "19"], "1 <= n <= 18, got 19"),
-    ("oracle-n-0", ["oracle", "--n", "0"], "1 <= n <= 18, got 0"),
     # Output goes to stdout only; the shell's `>` writes a file.
     ("pdf-out", ["pdf", "--at", "2", "--gc", "2", "--out", "missing/x.csv"],
      "unrecognized arguments: --out missing/x.csv"),
@@ -297,15 +296,7 @@ class TestImportBoundary:
     def test_help_loads_argparse(self):
         assert "argparse" in probe("--help")[1]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["count", "--alpha", "10", "--at", "8", "--gc", "6"],
-            ["pdf", "--at", "3", "--gc", "4"],
-            ["oracle", "--n", "4"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [argv for argv, loaded in _PROBE_ROWS if not loaded])
     def test_no_heavy_standard_modules(self, argv):
         added = probe(*argv)[1]
         assert "dna_necklace" in added
@@ -313,7 +304,8 @@ class TestImportBoundary:
         assert added & heavy == set()
 
     def test_count_loads_no_csv(self):
-        added = probe("count", "--alpha", "10", "--at", "8", "--gc", "6")[1]
+        (argv,) = (argv for argv, _ in _PROBE_ROWS if argv[:1] == ["count"])
+        added = probe(*argv)[1]
         assert "dna_necklace" in added
         assert added & {"csv", "_csv"} == set()
 
@@ -535,40 +527,59 @@ _RATIO = st.one_of(
 # Valid lengths stop at 14 so that no drawn vector costs seconds;
 # TestOracleCommand runs the largest accepted length once.
 _ORACLE_N = st.one_of(_ints(1, 14), st.sampled_from(["-1", "0", "19", "20"]))
-_TABLE = [("--format", st.sampled_from(["csv", "json"]))]
-_ARGV = st.tuples(
-    st.sampled_from([[], ["--quiet"]]),
-    st.one_of(
-        _command("count", [("--alpha", _ints(-4, 40)), ("--at", _COUNT), ("--gc", _COUNT)]),
-        _command("pdf", [("--at", _COUNT), ("--gc", _COUNT)], _TABLE),
-        _command(
-            "mc",
-            [("--at", _COUNT), ("--gc", _COUNT), ("--runs", _ints(-1, 200))],
-            [("--seed", st.integers(-1, 2**64).map(str)), ("--sets", _ints(-1, 4))]
-            + _TABLE,
-        ),
-        _command("fit", [("--at", _COUNT), ("--gc", _COUNT)], _TABLE),
-        _command(
-            "sweep",
-            [
-                ("--mode", st.just("fixed-at")),
-                ("--at", _COUNT),
-                ("--gc-values", _INT_LIST),
-            ],
-            [("--ratio", _RATIO), ("--n-values", _INT_LIST)] + _TABLE,
-        ),
-        _command(
-            "sweep",
-            [
-                ("--mode", st.just("fixed-ratio")),
-                ("--ratio", _RATIO),
-                ("--n-values", _INT_LIST),
-            ],
-            [("--at", _COUNT), ("--gc-values", _INT_LIST)] + _TABLE,
-        ),
-        _command("oracle", [("--n", _ORACLE_N)], _TABLE),
-    ),
-).map(lambda t: t[0] + t[1])
+# What `cmd_sweep` demands beyond argparse: the two flags each --mode
+# needs.  A new mode without a row fails at import.
+_SWEEP_NEEDS = {
+    "fixed-at": ("--at", "--gc-values"),
+    "fixed-ratio": ("--ratio", "--n-values"),
+}
+# The values drawn for each flag without `choices`; a new such option
+# needs an entry here.
+_VALUES = {
+    "--alpha": _ints(-4, 40),
+    "--at": _COUNT,
+    "--gc": _COUNT,
+    "--runs": _ints(-1, 200),
+    "--seed": st.integers(-1, 2**64).map(str),
+    "--sets": _ints(-1, 4),
+    "--gc-values": _INT_LIST,
+    "--ratio": _RATIO,
+    "--n-values": _INT_LIST,
+    "--n": _ORACLE_N,
+}
+
+
+def _values(flag, keywords):
+    """A flag's value strategy: its `choices`, else its `_VALUES` entry."""
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if flag not in _VALUES:
+        raise LookupError(f"{flag} has no choices and no _VALUES entry")
+    return _VALUES[flag]
+
+
+def _commands():
+    """One `_command` per `cli._COMMANDS` entry, and per --mode of sweep:
+    the required flags, and those the mode needs, always; every other
+    flag maybe."""
+    for name, (_, options, _) in cli._COMMANDS.items():
+        modes = options["--mode"]["choices"] if "--mode" in options else (None,)
+        for mode in modes:
+            needs = _SWEEP_NEEDS[mode] if mode else ()
+            required, optional = [], []
+            for flag, keywords in options.items():
+                if flag == "--mode":
+                    required.append((flag, st.just(mode)))
+                elif keywords.get("required") or flag in needs:
+                    required.append((flag, _values(flag, keywords)))
+                else:
+                    optional.append((flag, _values(flag, keywords)))
+            yield _command(name, required, optional)
+
+
+_ARGV = st.tuples(st.sampled_from([[], ["--quiet"]]), st.one_of(*_commands())).map(
+    lambda t: t[0] + t[1]
+)
 
 
 class TestExitCodeContract:

@@ -83,6 +83,13 @@ _PLANTED = [
     ("past-digit-limit", lambda mp: rig_comb(mp, 7499, 3749),
      ["--quiet", "count", "--alpha", "7500", "--at", "7500", "--gc", "7500"],
      " not divisible by group order 7500"),
+    # C(3, 1) one higher adds C(4, 1) = 4 fixed points to the identity
+    # rotation's C(3, 1) * C(4, 1) at alpha 4 of (4, 5).  gcd(2, 4, 5) = 1
+    # and the axes read no C(3, 1), so the total, 20, divides by 2M = 4:
+    # the count there reads 5, not 4, and only the pdf's total shows it.
+    ("identity-comb-divisible", lambda mp: rig_pascal(mp, 3, 1),
+     ["pdf", "--at", "4", "--gc", "5"],
+     "distribution total 11 is not the bead-position total 10"),
     ("cli-count-raises", raise_from_cli_count,
      ["count", "--alpha", "2", "--at", "1", "--gc", "1"],
      "integrality failure: rigged"),
